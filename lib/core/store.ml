@@ -1145,11 +1145,97 @@ let open_session ?(chunk_size = default_chunk_size) ?(resume = false) ?(sync = f
          derived)
   else begin
     let file = Filename.concat t.root (skey ^ ".jsonl") in
-    (* The advisory writer lock is taken before the record is even parsed:
+    let meta = meta_line ~skey ~runs ~resilient ~chunk_size ~shard ~config in
+    (* [meta_line] sorts config pairs canonically, so whenever the
+       metadata agreement check below passes, [meta] is byte-identical to
+       the record's on-disk meta line. *)
+    let meta_sum = Digest.to_hex (Digest.string meta) in
+    let index_of_chunks chunks =
+      let h = Hashtbl.create 16 in
+      List.iter (fun c -> Hashtbl.replace h (c.c_phase, c.c_lo) (c.c_off, c.c_bytes)) chunks;
+      h
+    in
+    (* Warm fast path: when a sidecar stamps the record's exact size,
+       mtime and meta digest, its rows replay to a complete record, and
+       they tile the record's bytes exactly, a read-only session adopts
+       the index without rescanning — O(index) instead of O(record) per
+       warm query.  The integrity model is the same as git's index: the
+       sidecar is only ever written over chunks that were seal-verified
+       (at append time by the writer, or by the full scan that rebuilt
+       it), adoption demands the record's exact byte size and mtime
+       stamp plus a byte-for-byte match of the meta line, and any
+       rewrite of the record voids the stamp and forces the full
+       verified scan below.  [cache verify] stays the offline deep
+       check.  Only complete records qualify — every append path
+       scans.
+
+       Adoption runs before the writer lock and never takes it: no
+       writer truncates or appends to a complete, unmodified record, so
+       a reader that proved both needs no exclusion, and concurrent warm
+       readers of one key must never serialize (or collide) on it. *)
+    let warm_adopt () =
+      let first_line =
+        match open_in_bin file with
+        | exception Sys_error _ -> None
+        | ic -> (
+            Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
+            match input_line ic with
+            | line -> Some line
+            | exception End_of_file -> None)
+      in
+      if first_line <> Some meta then None
+      else
+        match read_index ~file ~meta_sum with
+        | None -> None
+        | Some rows -> (
+            let m =
+              {
+                m_schema = schema_version;
+                m_key = skey;
+                m_runs = runs;
+                m_resilient = resilient;
+                m_csize = chunk_size;
+                m_config = config;
+                m_lo = s_lo;
+                m_hi = s_hi;
+              }
+            in
+            match index_frontier m rows with
+            | None -> None
+            | Some frontier ->
+                let bytes = file_bytes file in
+                let pos = ref (String.length meta + 1) in
+                let tiled =
+                  List.for_all
+                    (fun c ->
+                      let ok = c.c_off = !pos in
+                      pos := c.c_off + c.c_bytes + 1;
+                      ok)
+                    rows
+                  && !pos = bytes
+                in
+                let covered =
+                  Hashtbl.fold (fun _ f acc -> Stdlib.min f acc) frontier max_int
+                in
+                let is_complete =
+                  s_hi <= s_lo || (Hashtbl.length frontier > 0 && covered >= s_hi)
+                in
+                if tiled && is_complete then
+                  Some
+                    (mk_session ~idx_fresh:true ~skey ~file ~csize:chunk_size ~runs
+                       ~resilient ~span ~sync ~meta_sum
+                       ~index:(index_of_chunks rows) ~end_off:bytes ~frontier
+                       ~oc:None ~lock:None ())
+                else None)
+    in
+    match warm_adopt () with
+    | Some s -> Ok s
+    | None ->
+    (* The advisory writer lock is taken before the record is parsed:
        admitting a second writer any later would let it truncate or append
        behind the first one's back.  Every path that does not hand the
        lock to a writer session (errors, and the read-only adoption of a
-       complete record — warm readers must never serialize) releases it. *)
+       complete record found by the scan) releases it. *)
     match acquire_lock ~file with
     | Error e -> Error e
     | Ok lockfd ->
@@ -1157,11 +1243,6 @@ let open_session ?(chunk_size = default_chunk_size) ?(resume = false) ?(sync = f
     let keep () = kept := true; Some lockfd in
     Fun.protect ~finally:(fun () -> if not !kept then release_lock ~file lockfd)
     @@ fun () ->
-    let meta = meta_line ~skey ~runs ~resilient ~chunk_size ~shard ~config in
-    (* [meta_line] sorts config pairs canonically, so whenever the
-       metadata agreement check below passes, [meta] is byte-identical to
-       the record's on-disk meta line. *)
-    let meta_sum = Digest.to_hex (Digest.string meta) in
     let fresh () =
       (* Eager meta write: an unwritable store fails before any simulation
          time is spent, and a killed campaign always leaves a parseable
@@ -1177,84 +1258,8 @@ let open_session ?(chunk_size = default_chunk_size) ?(resume = false) ?(sync = f
            ~end_off:(String.length meta + 1)
            ~frontier:(Hashtbl.create 4) ~oc:(Some oc) ~lock:(keep ()) ())
     in
-    let index_of_chunks chunks =
-      let h = Hashtbl.create 16 in
-      List.iter (fun c -> Hashtbl.replace h (c.c_phase, c.c_lo) (c.c_off, c.c_bytes)) chunks;
-      h
-    in
     if not (Sys.file_exists file) then fresh ()
     else begin
-      (* Warm fast path: when a sidecar stamps the record's exact size,
-         mtime and meta digest, its rows replay to a complete record, and
-         they tile the record's bytes exactly, a read-only session adopts
-         the index without rescanning — O(index) instead of O(record) per
-         warm query.  The integrity model is the same as git's index: the
-         sidecar is only ever written over chunks that were seal-verified
-         (at append time by the writer, or by the full scan that rebuilt
-         it), adoption demands the record's exact byte size and mtime
-         stamp plus a byte-for-byte match of the meta line, and any
-         rewrite of the record voids the stamp and forces the full
-         verified scan below.  [cache verify] stays the offline deep
-         check.  Only complete records qualify — every append path
-         scans. *)
-      let warm_adopt () =
-        let first_line =
-          match open_in_bin file with
-          | exception Sys_error _ -> None
-          | ic -> (
-              Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
-              match input_line ic with
-              | line -> Some line
-              | exception End_of_file -> None)
-        in
-        if first_line <> Some meta then None
-        else
-          match read_index ~file ~meta_sum with
-          | None -> None
-          | Some rows -> (
-              let m =
-                {
-                  m_schema = schema_version;
-                  m_key = skey;
-                  m_runs = runs;
-                  m_resilient = resilient;
-                  m_csize = chunk_size;
-                  m_config = config;
-                  m_lo = s_lo;
-                  m_hi = s_hi;
-                }
-              in
-              match index_frontier m rows with
-              | None -> None
-              | Some frontier ->
-                  let bytes = file_bytes file in
-                  let pos = ref (String.length meta + 1) in
-                  let tiled =
-                    List.for_all
-                      (fun c ->
-                        let ok = c.c_off = !pos in
-                        pos := c.c_off + c.c_bytes + 1;
-                        ok)
-                      rows
-                    && !pos = bytes
-                  in
-                  let covered =
-                    Hashtbl.fold (fun _ f acc -> Stdlib.min f acc) frontier max_int
-                  in
-                  let is_complete =
-                    s_hi <= s_lo || (Hashtbl.length frontier > 0 && covered >= s_hi)
-                  in
-                  if tiled && is_complete then
-                    Some
-                      (mk_session ~idx_fresh:true ~skey ~file ~csize:chunk_size ~runs
-                         ~resilient ~span ~sync ~meta_sum
-                         ~index:(index_of_chunks rows) ~end_off:bytes ~frontier
-                         ~oc:None ~lock:None ())
-                  else None)
-      in
-      match warm_adopt () with
-      | Some s -> Ok s
-      | None ->
       match scan_record file with
       | Error e -> Error (Printf.sprintf "store: %s: %s" file e)
       | Ok r -> (

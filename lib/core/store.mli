@@ -203,15 +203,17 @@ val open_session :
     single-process record).  Raises [Invalid_argument] on a misaligned or
     out-of-range span.
 
-    {b Writer exclusion.}  Before parsing or truncating anything, the
+    {b Writer exclusion.}  Before scanning or truncating anything, the
     session takes a non-blocking exclusive advisory lock ([fcntl], with
     [O_CLOEXEC]) on the sidecar file [<key>.jsonl.lock]; a contended key
     yields [Error] naming the holding pid — two writers appending to one
     record would interleave its chunks.  The lock is released on {!close},
     dies with the process (a killed campaign never leaves a stale lock),
-    and is dropped immediately when the record turns out complete, so any
-    number of warm readers share a key freely.  Sessions of one process
-    exclude each other the same way.
+    and is dropped immediately when the record turns out complete.  The
+    sidecar adoption of a complete record comes first and never takes the
+    lock, so any number of warm readers — threads of one process included —
+    open a key at the same moment.  Sessions of one process that do take
+    the lock exclude each other the same way.
 
     Raises [Sys_error] when the record file cannot be created. *)
 

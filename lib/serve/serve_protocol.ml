@@ -103,6 +103,11 @@ let options spec =
     M.Protocol.bootstrap = bootstrap;
   }
 
+let analysis_id spec =
+  Printf.sprintf "tail=%s gates=%b bootstrap=%d%s" (tail_name spec.tail)
+    (not spec.no_gates) spec.bootstrap
+    (if spec.bootstrap = 0 then "" else " seed=" ^ Int64.to_string spec.seed)
+
 (* ------------------------------------------------------------------ *)
 (* Requests / responses *)
 

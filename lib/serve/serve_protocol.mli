@@ -42,6 +42,12 @@ val store_key : spec -> string
 (** Analysis options of this spec (tail, gates, bootstrap). *)
 val options : spec -> M.Protocol.options
 
+(** A canonical string of every spec field {!options} reads (tail, gates,
+    bootstrap, and the seed when bootstrap is on): two specs with equal
+    ids analyze a record identically.  With {!store_key} it keys the
+    daemon's analysis memo. *)
+val analysis_id : spec -> string
+
 val tail_name : M.Protocol.tail -> string
 val tail_of_name : string -> (M.Protocol.tail, string) result
 

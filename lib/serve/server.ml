@@ -49,6 +49,28 @@ type job = {
   mutable j_waiters : waiter list;
 }
 
+(* The analysis memo: a warm query is a pure function of the record's
+   bytes and the analysis options, so each (record, options) pair is
+   fitted once and every later query on it is answered from the fitted
+   tail model.  An entry holds only what answers read — never the sample,
+   its ECDF or the full i.i.d. result — and is pinned to the record's
+   identity by a stat stamp, the integrity model of the store's [.idx]
+   sidecar (DESIGN.md section 14.7). *)
+
+type stamp = { dev : int; ino : int; size : int; mtime : float }
+
+type fitted =
+  | Fitted of {
+      model : Repro_evt.Pwcet.tail_model;
+      block_size : int;
+      accepted : bool;
+      lb_p : float;
+      ks_p : float;
+    }
+  | Analysis_failed of string
+
+type memo_entry = { stamp : stamp; fitted : fitted; mutable used : int }
+
 type t = {
   cfg : config;
   store : M.Store.t;
@@ -64,6 +86,9 @@ type t = {
   mutable stopped : bool;
   mutable client_count : int;
   conn_threads : (int, Thread.t) Hashtbl.t;  (* Thread.id -> handler *)
+  memo : (string, memo_entry) Hashtbl.t;  (* store key + analysis id -> fit *)
+  memo_mutex : Mutex.t;
+  mutable memo_clock : int;  (* LRU recency *)
   mutable accept_thread : Thread.t option;
   mutable dispatch_thread : Thread.t option;
   mutable monitor_thread : Thread.t option;
@@ -288,6 +313,99 @@ let rec dispatch_loop t =
 
 let phase_rand = "collect_rand"
 
+let memo_capacity = 256
+
+(* A record rewritten within one timestamp tick of its last write can
+   keep its stamp, so a fit is memoized only if the record's mtime is
+   already older than a tick when the fit starts: any later write then
+   gets a strictly larger mtime.  Linux stamps files from a clock that
+   ticks every 1-10 ms; an mtime in whole seconds suggests a filesystem
+   that stamps whole seconds (or two, as FAT does). *)
+let racy_window_s mtime = if Float.is_integer mtime then 2. else 0.1
+
+let stamp_of file =
+  match Unix.stat file with
+  | { Unix.st_dev; st_ino; st_size; st_mtime; _ } ->
+      Some { dev = st_dev; ino = st_ino; size = st_size; mtime = st_mtime }
+  | exception Unix.Unix_error _ -> None
+
+let memo_find t mkey stamp =
+  Mutex.lock t.memo_mutex;
+  let found =
+    match Hashtbl.find_opt t.memo mkey with
+    | Some e when e.stamp = stamp ->
+        t.memo_clock <- t.memo_clock + 1;
+        e.used <- t.memo_clock;
+        Some e.fitted
+    | _ -> None
+  in
+  Mutex.unlock t.memo_mutex;
+  found
+
+let memo_add t mkey stamp fitted =
+  Mutex.lock t.memo_mutex;
+  if (not (Hashtbl.mem t.memo mkey)) && Hashtbl.length t.memo >= memo_capacity then begin
+    let victim =
+      Hashtbl.fold
+        (fun k e acc ->
+          match acc with Some (_, used) when used <= e.used -> acc | _ -> Some (k, e.used))
+        t.memo None
+    in
+    Option.iter (fun (k, _) -> Hashtbl.remove t.memo k) victim
+  end;
+  t.memo_clock <- t.memo_clock + 1;
+  Hashtbl.replace t.memo mkey { stamp; fitted; used = t.memo_clock };
+  Mutex.unlock t.memo_mutex
+
+let fitted_of_analysis = function
+  | Error f -> Analysis_failed (Format.asprintf "analysis failed: %a" M.Protocol.pp_failure f)
+  | Ok analysis ->
+      let curve = analysis.M.Protocol.curve and iid = analysis.M.Protocol.iid in
+      Fitted
+        {
+          model = Repro_evt.Pwcet.model curve;
+          block_size = Repro_evt.Pwcet.block_size curve;
+          accepted = iid.M.Iid.accepted;
+          lb_p = iid.M.Iid.ljung_box.Repro_stats.Ljung_box.p_value;
+          ks_p = iid.M.Iid.kolmogorov_smirnov.Repro_stats.Ks.p_value;
+        }
+
+(* Read the complete record and fit it: [Error] is the miss response for
+   a record that cannot answer. *)
+let fit_record t (spec : Sp.spec) ~key mtrace =
+  match
+    M.Store.open_session ~resume:true t.store ~key ~config:(Sp.store_config spec)
+      ~runs:spec.runs ~resilient:false
+  with
+  | Error e -> Error (Sp.Miss { key; reason = e })
+  | Ok session ->
+      Fun.protect
+        ~finally:(fun () -> M.Store.close session)
+        (fun () ->
+          if not (M.Store.complete session ~phase:phase_rand) then
+            Error
+              (Sp.Miss
+                 {
+                   key;
+                   reason =
+                     Printf.sprintf "record holds %d of %d runs; send a campaign request"
+                       (M.Store.cached_runs session ~phase:phase_rand)
+                       spec.runs;
+                 })
+          else begin
+            (* Every chunk is cached, so the collector only replays the
+               record — the [cache.runs_simulated = 0] counter in the
+               response is the proof that nothing was recomputed. *)
+            let sample =
+              M.Store.collect ~trace:mtrace ~jobs:1 session ~phase:phase_rand spec.runs
+                (fun _ -> invalid_arg "serve: warm query must not simulate")
+            in
+            Ok
+              (fitted_of_analysis
+                 (M.Protocol.analyze ~options:(Sp.options spec) ~jobs:t.cfg.jobs
+                    ~trace:mtrace sample))
+          end)
+
 let answer_query t (spec : Sp.spec) query =
   let key = Sp.store_key spec in
   if Sp.resilient spec then
@@ -300,64 +418,52 @@ let answer_query t (spec : Sp.spec) query =
       }
   else begin
     let counters = M.Trace.Counters.create ~parent:t.totals () in
-    let mtrace = M.Trace.create_mem ~level:M.Trace.Summary ~counters () in
-    let config = Sp.store_config spec in
-    match
-      M.Store.open_session ~resume:true t.store ~key ~config ~runs:spec.runs
-        ~resilient:false
-    with
-    | Error e -> Sp.Miss { key; reason = e }
-    | Ok session ->
-        Fun.protect
-          ~finally:(fun () -> M.Store.close session)
-          (fun () ->
-            if not (M.Store.complete session ~phase:phase_rand) then
-              Sp.Miss
-                {
-                  key;
-                  reason =
-                    Printf.sprintf "record holds %d of %d runs; send a campaign request"
-                      (M.Store.cached_runs session ~phase:phase_rand)
-                      spec.runs;
-                }
-            else begin
-              (* Every chunk is cached, so the collector only replays the
-                 record — the [cache.runs_simulated = 0] counter in the
-                 response is the proof that nothing was recomputed. *)
-              let sample =
-                M.Store.collect ~trace:mtrace ~jobs:1 session ~phase:phase_rand spec.runs
-                  (fun _ -> invalid_arg "serve: warm query must not simulate")
-              in
-              match
-                M.Protocol.analyze ~options:(Sp.options spec) ~jobs:t.cfg.jobs
-                  ~trace:mtrace sample
-              with
-              | Error f ->
-                  Sp.Failed (Format.asprintf "analysis failed: %a" M.Protocol.pp_failure f)
-              | Ok analysis ->
-                  let value =
-                    match query with
-                    | Sp.Pwcet p ->
-                        Json.Float
-                          (Repro_evt.Pwcet.estimate analysis.M.Protocol.curve
-                             ~cutoff_probability:p)
-                    | Sp.Iid_verdict ->
-                        let iid = analysis.M.Protocol.iid in
-                        Json.Obj
-                          [
-                            ("accepted", Json.Bool iid.M.Iid.accepted);
-                            ( "lb_p",
-                              Json.Float
-                                iid.M.Iid.ljung_box.Repro_stats.Ljung_box.p_value );
-                            ( "ks_p",
-                              Json.Float
-                                iid.M.Iid.kolmogorov_smirnov.Repro_stats.Ks.p_value );
-                          ]
-                  in
-                  M.Trace.Counters.incr t.totals "serve.queries_answered";
-                  Sp.Answer
-                    { key; query; value; counters = M.Trace.Counters.snapshot counters }
-            end)
+    let mkey = key ^ " " ^ Sp.analysis_id spec in
+    let file = Filename.concat (M.Store.dir t.store) (key ^ ".jsonl") in
+    let stamp = stamp_of file in
+    let fitted =
+      match Option.bind stamp (memo_find t mkey) with
+      | Some fitted ->
+          (* A hit reads nothing from the store, so nothing was simulated. *)
+          M.Trace.Counters.incr counters "serve.analysis_memo_hits";
+          M.Trace.Counters.add counters "cache.runs_simulated" 0;
+          Ok fitted
+      | None ->
+          M.Trace.Counters.incr counters "serve.analysis_memo_misses";
+          let aged =
+            match stamp with
+            | Some s -> Unix.gettimeofday () -. s.mtime >= racy_window_s s.mtime
+            | None -> false
+          in
+          let mtrace = M.Trace.create_mem ~level:M.Trace.Summary ~counters () in
+          let fitted = fit_record t spec ~key mtrace in
+          (* Store the fit only if the record it read is the one stamped
+             before the read. *)
+          (match (fitted, stamp) with
+          | Ok fitted, Some s when aged && stamp_of file = stamp -> memo_add t mkey s fitted
+          | _ -> ());
+          fitted
+    in
+    match fitted with
+    | Error miss -> miss
+    | Ok (Analysis_failed msg) -> Sp.Failed msg
+    | Ok (Fitted f) ->
+        let value =
+          match query with
+          | Sp.Pwcet p ->
+              Json.Float
+                (Repro_evt.Pwcet.estimate_of_model ~model:f.model ~block_size:f.block_size
+                   ~cutoff_probability:p)
+          | Sp.Iid_verdict ->
+              Json.Obj
+                [
+                  ("accepted", Json.Bool f.accepted);
+                  ("lb_p", Json.Float f.lb_p);
+                  ("ks_p", Json.Float f.ks_p);
+                ]
+        in
+        M.Trace.Counters.incr t.totals "serve.queries_answered";
+        Sp.Answer { key; query; value; counters = M.Trace.Counters.snapshot counters }
   end
 
 (* ------------------------------------------------------------------ *)
@@ -619,6 +725,9 @@ let start ?on_job_start cfg =
               stopped = false;
               client_count = 0;
               conn_threads = Hashtbl.create 16;
+              memo = Hashtbl.create 16;
+              memo_mutex = Mutex.create ();
+              memo_clock = 0;
               accept_thread = None;
               dispatch_thread = None;
               monitor_thread = None;

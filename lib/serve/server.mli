@@ -22,6 +22,16 @@
     queueing invisibly.  Connections beyond [max_clients] are likewise
     rejected with [reason_too_many_clients].
 
+    {b Analysis memo.}  Warm [pwcet]/[iid] queries fit each (record,
+    analysis options) pair once: the daemon keeps the fitted tail model,
+    block size and i.i.d. verdict (or the analysis failure), never the
+    sample, pinned to the record's [stat] stamp (device, inode, size,
+    mtime), and answers later queries from it without opening the store —
+    bit-identical to a fresh fit.  A rewritten record is refitted; a record
+    whose mtime is younger than one timestamp tick is never memoized.  The
+    capacity is a fixed 256 entries, least recently used evicted first;
+    [serve.analysis_memo_hits]/[serve.analysis_memo_misses] count it.
+
     {b Shutdown.}  The daemon drains on the process-wide {!Repro_mbpta.Shutdown}
     flag (SIGINT/SIGTERM once [Shutdown.install]ed, a client [Shutdown]
     request, or {!stop}): the in-flight campaign checkpoints at its next

@@ -215,6 +215,180 @@ let test_warm_queries () =
         (counter counters "cache.runs_simulated")
   | r -> Alcotest.failf "expected an i.i.d. answer, got %s" (Sp.response_to_line r)
 
+(* ------------------------------------------------------------------ *)
+(* Analysis memo *)
+
+let record_file sock (spec : Sp.spec) =
+  Filename.concat (Filename.concat (Filename.dirname sock) "store") (Sp.store_key spec ^ ".jsonl")
+
+(* The daemon memoizes a fit only once the record's mtime is older than
+   its racy window, which a record a campaign has just written may not
+   be, so tests age records explicitly.  A distinct [seconds] also changes the record's stamp,
+   which voids any entry fitted before. *)
+let age file ~seconds =
+  let t = Unix.gettimeofday () -. seconds in
+  Unix.utimes file t t
+
+(* The in-process reference: the daemon's warm query analyzes the
+   record's RAND phase, which is the sequential RAND measurement. *)
+let in_process_analysis ?sample (spec : Sp.spec) =
+  let sample =
+    match sample with
+    | Some s -> s
+    | None ->
+        let rand =
+          T.Experiment.create ~frames:spec.frames ~config:P.Config.mbpta_compliant
+            ~base_seed:spec.seed ()
+        in
+        Array.init spec.runs (fun i -> T.Experiment.measure rand ~run_index:i)
+  in
+  M.Protocol.analyze ~options:(Sp.options spec) ~jobs:1 sample
+
+let warm_campaign sock spec =
+  match request sock (Sp.Campaign { spec; events = false }) with
+  | Sp.Report _ -> ()
+  | r -> Alcotest.failf "expected a report, got %s" (Sp.response_to_line r)
+
+(* Ask [query] and check the response against the in-process [reference]
+   bit for bit; returns whether the memo answered it. *)
+let check_query sock spec query reference =
+  let bits = Int64.bits_of_float in
+  match (request sock (Sp.Query { spec; query }), reference) with
+  | Sp.Answer { value; counters; _ }, Ok (a : M.Protocol.analysis) ->
+      (match (query, value) with
+      | Sp.Pwcet p, M.Trace.Json.Float v ->
+          Alcotest.(check int64)
+            (Printf.sprintf "pWCET(%g) equals the in-process estimate" p)
+            (bits (Repro_evt.Pwcet.estimate a.curve ~cutoff_probability:p))
+            (bits v)
+      | Sp.Iid_verdict, M.Trace.Json.Obj fields ->
+          let float name =
+            match List.assoc_opt name fields with
+            | Some (M.Trace.Json.Float f) -> bits f
+            | _ -> Alcotest.failf "verdict lacks %s" name
+          in
+          Alcotest.(check bool) "accepted equals in-process" true
+            (List.assoc_opt "accepted" fields = Some (M.Trace.Json.Bool a.iid.accepted));
+          Alcotest.(check int64) "lb_p equals in-process"
+            (bits a.iid.ljung_box.Repro_stats.Ljung_box.p_value) (float "lb_p");
+          Alcotest.(check int64) "ks_p equals in-process"
+            (bits a.iid.kolmogorov_smirnov.Repro_stats.Ks.p_value) (float "ks_p")
+      | _ -> Alcotest.failf "unexpected answer value for this query");
+      Alcotest.(check (option int))
+        "no run simulated" (Some 0)
+        (counter counters "cache.runs_simulated");
+      counter counters "serve.analysis_memo_hits" = Some 1
+  | Sp.Failed msg, Error f ->
+      Alcotest.(check string) "failure equals in-process"
+        (Format.asprintf "analysis failed: %a" M.Protocol.pp_failure f)
+        msg;
+      false
+  | r, _ -> Alcotest.failf "response disagrees with in-process: %s" (Sp.response_to_line r)
+
+let cutoffs = List.init 13 (fun k -> float_of_string (Printf.sprintf "1e-%d" (k + 3)))
+
+let test_memo_bit_identical () =
+  let spec = spec ~seed:4110L in
+  let reference = in_process_analysis spec in
+  with_server @@ fun _srv sock ->
+  warm_campaign sock spec;
+  let file = record_file sock spec in
+  List.iteri
+    (fun k query ->
+      (* a fresh stamp per query: the first answer is fitted, the second
+         comes from the memo, and both must equal the reference *)
+      age file ~seconds:(60. +. float_of_int k);
+      Alcotest.(check bool) "first answer is fitted" false
+        (check_query sock spec query reference);
+      Alcotest.(check bool) "second answer comes from the memo" true
+        (check_query sock spec query reference))
+    (List.map (fun p -> Sp.Pwcet p) cutoffs @ [ Sp.Iid_verdict ])
+
+let test_memo_record_rewrite () =
+  let spec = spec ~seed:4111L in
+  with_server @@ fun srv sock ->
+  warm_campaign sock spec;
+  let file = record_file sock spec in
+  age file ~seconds:60.;
+  let old = in_process_analysis spec in
+  ignore (check_query sock spec (Sp.Pwcet 1e-9) old);
+  Alcotest.(check bool) "old record answered from the memo" true
+    (check_query sock spec (Sp.Pwcet 1e-9) old);
+  (* Rewrite the record under the same key with a different sample. *)
+  List.iter Sys.remove [ file; file ^ ".idx" ];
+  let synthetic ~phase i =
+    1000. +. float_of_int ((i * 7919 + phase) mod 613) +. (50. *. sin (float_of_int i))
+  in
+  let root = M.Store.open_root ~dir:(Filename.dirname file) in
+  (match
+     M.Store.open_session root ~key:(Sp.store_key spec) ~config:(Sp.store_config spec)
+       ~runs:spec.runs ~resilient:false
+   with
+  | Error e -> Alcotest.failf "rewrite: %s" e
+  | Ok s ->
+      ignore (M.Store.collect s ~jobs:1 ~phase:"collect_det" spec.runs (synthetic ~phase:1));
+      ignore (M.Store.collect s ~jobs:1 ~phase:"collect_rand" spec.runs (synthetic ~phase:2));
+      M.Store.close s);
+  let fresh = in_process_analysis ~sample:(Array.init spec.runs (synthetic ~phase:2)) spec in
+  Alcotest.(check bool) "rewritten record is fitted" false
+    (check_query sock spec (Sp.Pwcet 1e-9) fresh);
+  (* Records not yet older than the racy window are fitted on every
+     query: one stamped in the future, and one stamped in whole seconds
+     less than two seconds ago. *)
+  let not_memoized name =
+    ignore (check_query sock spec (Sp.Pwcet 1e-9) fresh);
+    Alcotest.(check bool) name false (check_query sock spec (Sp.Pwcet 1e-9) fresh)
+  in
+  age file ~seconds:(-5.);
+  not_memoized "a record stamped in the future is not memoized";
+  let whole = Float.round (Unix.gettimeofday () -. 1.) in
+  Unix.utimes file whole whole;
+  not_memoized "a whole-second stamp under two seconds old is not memoized";
+  age file ~seconds:30.;
+  ignore (check_query sock spec (Sp.Pwcet 1e-9) fresh);
+  Alcotest.(check bool) "aged rewrite answered from the memo" true
+    (check_query sock spec (Sp.Pwcet 1e-9) fresh);
+  let totals = M.Trace.Counters.snapshot (S.Server.counters srv) in
+  Alcotest.(check (option int)) "memo hits in the status totals" (Some 2)
+    (counter totals "serve.analysis_memo_hits");
+  Alcotest.(check (option int)) "memo misses in the status totals" (Some 7)
+    (counter totals "serve.analysis_memo_misses")
+
+let test_memo_options_distinct () =
+  let base = spec ~seed:4112L in
+  let variants =
+    [
+      base;
+      { base with tail = M.Protocol.Gev };
+      { base with tail = M.Protocol.Pot };
+      { base with no_gates = false };
+      { base with bootstrap = 20 };
+    ]
+  in
+  List.iter
+    (fun v ->
+      Alcotest.(check string) "variants share one record" (Sp.store_key base)
+        (Sp.store_key v))
+    variants;
+  with_server @@ fun srv sock ->
+  warm_campaign sock base;
+  age (record_file sock base) ~seconds:60.;
+  let references = List.map (fun v -> (v, in_process_analysis v)) variants in
+  (* Round one fits every option set; had two shared an entry, a later
+     one would come from the memo (and, for a different tail, answer the
+     wrong value).  Round two must answer each from its own entry. *)
+  List.iter
+    (fun (v, reference) ->
+      Alcotest.(check bool) "each option set is fitted once" false
+        (check_query sock v (Sp.Pwcet 1e-9) reference))
+    references;
+  List.iter (fun (v, reference) -> ignore (check_query sock v (Sp.Pwcet 1e-9) reference)) references;
+  (* Counted in the totals, since a failed analysis answers without
+     counters: its failure is memoized like a fit. *)
+  Alcotest.(check (option int)) "round two comes from the memo, entry by entry"
+    (Some (List.length variants))
+    (counter (M.Trace.Counters.snapshot (S.Server.counters srv)) "serve.analysis_memo_hits")
+
 let test_shutdown_drains () =
   let in_flight = spec ~seed:4107L in
   let queued = spec ~seed:4108L in
@@ -310,6 +484,15 @@ let () =
           Alcotest.test_case "concurrent identical requests coalesce" `Quick
             test_concurrent_coalesced;
           Alcotest.test_case "warm-only queries" `Quick test_warm_queries;
+        ] );
+      ( "memo",
+        [
+          Alcotest.test_case "memo answers bit-identical to fits" `Quick
+            test_memo_bit_identical;
+          Alcotest.test_case "rewritten record is refitted" `Quick
+            test_memo_record_rewrite;
+          Alcotest.test_case "option sets never share an entry" `Quick
+            test_memo_options_distinct;
         ] );
       ( "admission",
         [ Alcotest.test_case "overload gets a typed rejection" `Quick

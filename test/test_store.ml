@@ -760,49 +760,73 @@ let test_writer_lock_in_process () =
   let s2 = open_exn ~chunk_size:8 ~resume:true root ~key ~runs:30 ~resilient:false in
   Store.close s2
 
-(* Two processes racing on one key: the child takes the session and
-   holds it; the parent must get the typed diagnostic, and must regain
-   the key without any cleanup step once the child dies — even by
-   SIGKILL, which runs no release code at all. *)
+(* Warm readers of one complete key never exclude each other: two domains
+   open it over and over, so their opens overlap, and every open must
+   succeed and replay the record.  Only partial records take the writer
+   lock (the test above). *)
+let test_concurrent_warm_readers () =
+  with_root @@ fun root ->
+  let key = Store.key ~chunk_size:8 config in
+  let s = open_exn ~chunk_size:8 root ~key ~runs:30 ~resilient:false in
+  let expected = Store.collect s ~jobs:1 ~phase:"collect_det" 30 awkward in
+  Store.close s;
+  let reader () =
+    let errors = ref [] and replayed = ref [||] in
+    for _ = 1 to 300 do
+      match Store.open_session ~chunk_size:8 root ~key ~config ~runs:30 ~resilient:false with
+      | Ok r ->
+          replayed :=
+            Store.collect r ~jobs:1 ~phase:"collect_det" 30 (fun _ ->
+                invalid_arg "a complete record must not compute");
+          Store.close r
+      | Error e -> errors := e :: !errors
+    done;
+    (!errors, !replayed)
+  in
+  let other = Domain.spawn reader in
+  let mine_errors, mine = reader () in
+  let theirs_errors, theirs = Domain.join other in
+  Alcotest.(check (list string)) "every concurrent warm open succeeds" []
+    (mine_errors @ theirs_errors);
+  check_bits "first reader replays the record" expected mine;
+  check_bits "second reader replays the record" expected theirs
+
+(* Two processes racing on one key: the child (the lock_holder helper
+   executable) takes the session and holds it; the parent must get the
+   typed diagnostic, and must regain the key without any cleanup step
+   once the child dies — even by SIGKILL, which runs no release code at
+   all. *)
 let test_writer_lock_two_processes () =
   let dir = temp_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let key = Store.key ~chunk_size:8 config in
-  let r_ready, w_ready = Unix.pipe () in
-  match Unix.fork () with
-  | 0 ->
-      (* child: report whether the open worked, then hold until killed *)
-      Unix.close r_ready;
-      let verdict =
-        let root = Store.open_root ~dir in
-        match Store.open_session ~chunk_size:8 root ~key ~config ~runs:30 ~resilient:false with
-        | Ok _ -> "k"
-        | Error _ -> "e"
-      in
-      ignore (Unix.write_substring w_ready verdict 0 1);
-      Unix.sleep 60;
-      Unix._exit 0
-  | child ->
-      Unix.close w_ready;
-      let b = Bytes.create 1 in
-      let n = Unix.read r_ready b 0 1 in
-      Unix.close r_ready;
-      Alcotest.(check int) "child reported" 1 n;
-      Alcotest.(check char) "child holds the session" 'k' (Bytes.get b 0);
-      let root = Store.open_root ~dir in
-      (match Store.open_session ~chunk_size:8 root ~key ~config ~runs:30 ~resilient:false with
-      | Ok _ ->
-          Unix.kill child Sys.sigkill;
-          ignore (Unix.waitpid [] child);
-          Alcotest.fail "two live writers on one key"
-      | Error e ->
-          Alcotest.(check bool) "diagnostic names the other writer" true
-            (contains e "locked by another writer"));
+  let helper = Filename.concat (Filename.dirname Sys.executable_name) "lock_holder.exe" in
+  let argv =
+    Array.of_list
+      (helper :: dir :: "30" :: "8" :: List.map (fun (k, v) -> k ^ "=" ^ v) config)
+  in
+  let r_ready, w_ready = Unix.pipe ~cloexec:true () in
+  let child = Unix.create_process helper argv Unix.stdin w_ready Unix.stderr in
+  Unix.close w_ready;
+  let b = Bytes.create 1 in
+  let n = Unix.read r_ready b 0 1 in
+  Unix.close r_ready;
+  Alcotest.(check int) "child reported" 1 n;
+  Alcotest.(check char) "child holds the session" 'k' (Bytes.get b 0);
+  let root = Store.open_root ~dir in
+  (match Store.open_session ~chunk_size:8 root ~key ~config ~runs:30 ~resilient:false with
+  | Ok _ ->
       Unix.kill child Sys.sigkill;
       ignore (Unix.waitpid [] child);
-      (match Store.open_session ~chunk_size:8 root ~key ~config ~runs:30 ~resilient:false with
-      | Ok s -> Store.close s
-      | Error e -> Alcotest.failf "lock must die with its process: %s" e)
+      Alcotest.fail "two live writers on one key"
+  | Error e ->
+      Alcotest.(check bool) "diagnostic names the other writer" true
+        (contains e "locked by another writer"));
+  Unix.kill child Sys.sigkill;
+  ignore (Unix.waitpid [] child);
+  (match Store.open_session ~chunk_size:8 root ~key ~config ~runs:30 ~resilient:false with
+  | Ok s -> Store.close s
+  | Error e -> Alcotest.failf "lock must die with its process: %s" e)
 
 (* ------------------------------------------------------------------ *)
 (* graceful shutdown (signal -> checkpoint barrier -> resume) *)
@@ -1003,6 +1027,8 @@ let () =
             test_writer_lock_in_process;
           Alcotest.test_case "two processes racing on one key" `Quick
             test_writer_lock_two_processes;
+          Alcotest.test_case "concurrent warm readers of one key" `Quick
+            test_concurrent_warm_readers;
         ] );
       ( "shutdown",
         [
