@@ -131,7 +131,7 @@ let trace_run trace ~run_index ~attempts ~time =
              latency = time;
            })
 
-let supervise ?jobs ?trace ?dispatch ?store ~policy ~runs ~measure () =
+let supervise ?jobs ?trace ?store ~policy ~runs ~measure () =
   if runs < 1 then Error (Invalid_policy "runs must be >= 1")
   else if policy.max_retries < 0 then Error (Invalid_policy "max_retries must be >= 0")
   else if not (policy.min_survival >= 0. && policy.min_survival <= 1.) then
@@ -147,7 +147,7 @@ let supervise ?jobs ?trace ?dispatch ?store ~policy ~runs ~measure () =
       match store with
       | None -> Parallel.init ?trace ?jobs runs (measure_run ~policy ~measure)
       | Some (session, phase) ->
-          Store.collect_trails ?trace ?jobs ?dispatch session ~phase runs
+          Store.collect_trails ?trace ?jobs session ~phase runs
             (trail ~policy ~measure)
           |> Array.map attempts_of_trail
     in

@@ -87,15 +87,10 @@ type error =
     barrier and previously recorded trails are replayed instead of
     re-measured.  Because the accounting phase runs over the trails either
     way, a resumed or fully cached campaign reproduces the report (sample,
-    records, budget arithmetic) bit-identically.
-
-    [dispatch] (store-backed runs only) sets the scheduling granularity of
-    the checkpoint walk — see {!Parallel.dispatch}; purely operational,
-    never a sample or accounting bit. *)
+    records, budget arithmetic) bit-identically. *)
 val supervise :
   ?jobs:int ->
   ?trace:Trace.t ->
-  ?dispatch:Parallel.dispatch ->
   ?store:Store.session * string ->
   policy:policy ->
   runs:int ->

@@ -1696,21 +1696,21 @@ let collect_cached_parallel ?trace ?jobs s ~phase =
 let phase_frontier s ~phase =
   match Hashtbl.find_opt s.frontier phase with Some f -> f | None -> s.s_lo
 
-let collect ?trace ?jobs ?dispatch s ~phase n f =
+let collect ?trace ?jobs s ~phase n f =
   check_runs s "collect" n;
   emit_cache_events trace s ~phase;
   if (not s.s_resilient) && phase_frontier s ~phase >= s.s_hi then
     collect_cached_parallel ?trace ?jobs s ~phase
   else
-    Parallel.init_checkpointed ?trace ?jobs ?dispatch ~lo:s.s_lo ~chunk_size:s.csize
+    Parallel.init_checkpointed ?trace ?jobs ~lo:s.s_lo ~chunk_size:s.csize
       ~lookup:(fun ~lo ~len -> lookup s ~phase ~lo ~len)
       ~persist:(fun ~lo a -> persist s ~phase ~lo a)
       s.s_hi f
 
-let collect_trails ?trace ?jobs ?dispatch s ~phase n f =
+let collect_trails ?trace ?jobs s ~phase n f =
   check_runs s "collect_trails" n;
   emit_cache_events trace s ~phase;
-  Parallel.init_checkpointed ?trace ?jobs ?dispatch ~lo:s.s_lo ~chunk_size:s.csize
+  Parallel.init_checkpointed ?trace ?jobs ~lo:s.s_lo ~chunk_size:s.csize
     ~lookup:(fun ~lo ~len -> lookup_trails s ~phase ~lo ~len)
     ~persist:(fun ~lo a -> persist_trails s ~phase ~lo a)
     s.s_hi f

@@ -69,7 +69,7 @@
     and [cache verify] remains the offline deep check.
 
     {b Determinism contract.}  Chunk layout is a pure function of the run
-    count (never of [--jobs], the shard count, or dispatch batching), each
+    count (never of [--jobs] or the shard count), each
     run's value is a pure function of its index (the seed-derivation
     contract), and floats round-trip bit-exact.  Hence a campaign resumed
     from any valid prefix — served entirely from cache, or merged together
@@ -260,7 +260,6 @@ val persist_trails : session -> phase:string -> lo:int -> trail array -> unit
 val collect :
   ?trace:Trace.t ->
   ?jobs:int ->
-  ?dispatch:Parallel.dispatch ->
   session ->
   phase:string ->
   int ->
@@ -273,9 +272,7 @@ val collect :
     the span's values ([hi - lo] of them; a full session returns all
     [runs]).  Emits one {!Trace.Cache_hit} / {!Trace.Resume} /
     {!Trace.Cache_miss} event and bumps the [cache.runs_cached] /
-    [cache.runs_simulated] counters when a trace is attached.  [dispatch]
-    sets the scheduling granularity (see {!Parallel.dispatch}; default
-    [`Chunk]) — samples and record bytes are invariant under it.
+    [cache.runs_simulated] counters when a trace is attached.
 
     A fully-cached fault-free span skips the checkpoint walk entirely:
     every chunk decodes independently from its indexed byte range, fanned
@@ -287,7 +284,6 @@ val collect :
 val collect_trails :
   ?trace:Trace.t ->
   ?jobs:int ->
-  ?dispatch:Parallel.dispatch ->
   session ->
   phase:string ->
   int ->

@@ -52,17 +52,3 @@ val map :
   ('a -> 'b) ->
   'a array ->
   'b array
-
-(** The pinned batch-size grid for cost-calibrated dispatch: how many
-    checkpoint chunks a scheduler may hand out per fan-out.  Coarse powers
-    of two so a noisy calibration measurement almost always rounds to the
-    same value.  The store chunk layout itself never depends on this. *)
-val dispatch_grid : int list
-
-(** [batch_of_cost ~chunk_ns ~target_ns] — the smallest grid batch size
-    whose estimated duration [batch * chunk_ns] reaches [target_ns], or
-    the grid maximum if none does.  Pure (Int64 arithmetic only), so a
-    given measurement always picks the same batch.  Raises
-    [Invalid_argument] if [target_ns < 1]; [chunk_ns] is clamped to at
-    least 1ns. *)
-val batch_of_cost : chunk_ns:int64 -> target_ns:int64 -> int

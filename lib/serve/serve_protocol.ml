@@ -7,6 +7,7 @@
 
 module M = Repro_mbpta
 module T = Repro_tvca
+module P = Repro_platform
 module Json = M.Trace.Json
 
 (* ------------------------------------------------------------------ *)
@@ -56,11 +57,10 @@ let tail_of_name = function
   | "exp" -> Ok M.Protocol.Exponential_pot
   | s -> Error (Printf.sprintf "unknown tail model %S (expected gumbel|gev|pot|exp)" s)
 
-(* The store key digests only what determines a measured value — the same
-   pairs, in the same spelling, as the CLI's analyze subcommand, so a
-   record warmed by `mbpta analyze --cache-dir` serves daemon requests and
-   vice versa.  Analysis-side knobs (tail, gates, bootstrap, engineering
-   factor, min_survival) deliberately stay out. *)
+(* The store key digests only what determines a measured value; the
+   analysis-side knobs (tail, gates, bootstrap, engineering factor,
+   min_survival) deliberately stay out, so re-analysis is a cache hit.
+   Changing a pair or its spelling orphans every stored record. *)
 let store_config spec =
   let resilient = resilient spec in
   [
@@ -107,6 +107,111 @@ let analysis_id spec =
   Printf.sprintf "tail=%s gates=%b bootstrap=%d%s" (tail_name spec.tail)
     (not spec.no_gates) spec.bootstrap
     (if spec.bootstrap = 0 then "" else " seed=" ^ Int64.to_string spec.seed)
+
+let validate_spec spec =
+  let fail fmt = Printf.ksprintf (fun e -> Error e) fmt in
+  if spec.runs < 1 then fail "runs must be >= 1 (got %d)" spec.runs
+  else if spec.frames < 1 then fail "frames must be >= 1 (got %d)" spec.frames
+  else if spec.seu_rate < 0. then fail "seu_rate must be >= 0 (got %g)" spec.seu_rate
+  else if not (spec.engineering_factor >= 1.) then
+    fail "engineering_factor must be >= 1 (got %g)" spec.engineering_factor
+  else if not (spec.min_survival >= 0. && spec.min_survival <= 1.) then
+    fail "min_survival must lie in [0, 1] (got %g)" spec.min_survival
+  else if spec.bootstrap <> 0 && spec.bootstrap < 20 then
+    fail "bootstrap must be 0 (off) or >= 20 replicates (got %d)" spec.bootstrap
+  else if spec.max_retries < 0 then
+    fail "max_retries must be >= 0 (got %d)" spec.max_retries
+  else
+    match spec.watchdog_budget with
+    | Some b when b < 1 -> fail "watchdog_budget must be >= 1 (got %d)" b
+    | Some _ | None -> Ok spec
+
+(* ------------------------------------------------------------------ *)
+(* Measurement *)
+
+(* Roll one run's micro-architectural counters into a registry.  Safe from
+   any worker domain: additions commute, so the totals are deterministic
+   at every job count. *)
+let record_metrics counters ~prefix (m : P.Metrics.t) =
+  let add name v = M.Trace.Counters.add counters (prefix ^ name) v in
+  add "runs" 1;
+  add "cycles" m.P.Metrics.cycles;
+  add "instructions" m.P.Metrics.instructions;
+  add "il1_misses" m.P.Metrics.il1_misses;
+  add "dl1_misses" m.P.Metrics.dl1_misses;
+  add "itlb_misses" m.P.Metrics.itlb_misses;
+  add "dtlb_misses" m.P.Metrics.dtlb_misses;
+  add "bus_transactions" m.P.Metrics.bus_transactions;
+  add "dram_row_misses" m.P.Metrics.dram_row_misses;
+  add "faults_injected" m.P.Metrics.faults_injected
+
+(* Map the experiment's classified fault outcomes onto the supervisor's
+   outcome type (the tvca and mbpta libraries deliberately do not know
+   about each other; this glue is the only place both sides meet). *)
+let resilience_outcome_of = function
+  | T.Experiment.Completed { metrics; _ } ->
+      M.Resilience.Completed (float_of_int (P.Metrics.cycles metrics))
+  | T.Experiment.Watchdog { cycles; budget; _ } ->
+      M.Resilience.Timeout
+        { detail = Printf.sprintf "watchdog fired at %d cycles (budget %d)" cycles budget }
+  | T.Experiment.Runaway { program; _ } ->
+      M.Resilience.Timeout { detail = "runaway execution of " ^ program }
+  | T.Experiment.Crashed { detail; _ } -> M.Resilience.Crashed { detail }
+  | T.Experiment.Corrupted { worst_error; _ } ->
+      M.Resilience.Corrupted
+        { detail = Printf.sprintf "worst output error %g" worst_error }
+
+(* The counting closure measures the same cycles bit for bit
+   ([Experiment.measure] is [cycles (run ...)]). *)
+let measure ?counters exp ~prefix =
+  match counters with
+  | None -> fun i -> T.Experiment.measure exp ~run_index:i
+  | Some c ->
+      fun i ->
+        let m = T.Experiment.run exp ~run_index:i in
+        record_metrics c ~prefix m;
+        float_of_int (P.Metrics.cycles m)
+
+let campaign_input ?counters spec =
+  let experiment config =
+    T.Experiment.create ~frames:spec.frames ~config ~base_seed:spec.seed ()
+  in
+  let det = experiment P.Config.deterministic in
+  let rand = experiment P.Config.mbpta_compliant in
+  let base =
+    {
+      M.Campaign.runs = spec.runs;
+      measure_det = measure ?counters det ~prefix:"det.";
+      measure_rand = measure ?counters rand ~prefix:"rand.";
+      options = options spec;
+      engineering_factor = spec.engineering_factor;
+    }
+  in
+  if not (resilient spec) then `Plain base
+  else begin
+    let fault =
+      T.Experiment.fault_config ~seu_rate:spec.seu_rate
+        ?watchdog_budget:spec.watchdog_budget ()
+    in
+    let measure_outcome exp prefix ~run_index ~attempt =
+      let outcome = T.Experiment.run_faulty exp ~fault ~attempt ~run_index () in
+      (match (counters, outcome) with
+      | Some c, T.Experiment.Completed { metrics; _ } -> record_metrics c ~prefix metrics
+      | _ -> ());
+      resilience_outcome_of outcome
+    in
+    let policy =
+      {
+        M.Resilience.default_policy with
+        max_retries = spec.max_retries;
+        min_survival = spec.min_survival;
+      }
+    in
+    `Resilient
+      (M.Campaign.resilient_input ~policy ~base
+         ~measure_det_outcome:(measure_outcome det "det.")
+         ~measure_rand_outcome:(measure_outcome rand "rand.") ())
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Requests / responses *)
@@ -229,19 +334,6 @@ let spec_of_json j =
       max_retries = int "max_retries" default_spec.max_retries;
       min_survival = flt "min_survival" default_spec.min_survival;
     }
-
-let validate_spec spec =
-  if spec.runs < 1 then Error "runs must be >= 1"
-  else if spec.frames < 1 then Error "frames must be >= 1"
-  else if spec.seu_rate < 0. then Error "seu_rate must be >= 0"
-  else if not (spec.engineering_factor >= 1.) then
-    Error "engineering_factor must be >= 1"
-  else if not (spec.min_survival >= 0. && spec.min_survival <= 1.) then
-    Error "min_survival must lie in [0, 1]"
-  else if spec.bootstrap <> 0 && spec.bootstrap < 20 then
-    Error "bootstrap must be 0 (off) or >= 20 replicates"
-  else if spec.max_retries < 0 then Error "max_retries must be >= 0"
-  else Ok spec
 
 let query_fields = function
   | Pwcet p -> [ ("query", Json.String "pwcet"); ("probability", Json.Float p) ]

@@ -1,4 +1,10 @@
-(** Wire protocol of the [mbpta serve] daemon (see DESIGN.md section 14).
+(** The analyze campaign and the wire protocol of the [mbpta serve] daemon
+    (see DESIGN.md section 14).
+
+    {!spec} and the functions over it are the one definition of an analyze
+    campaign: [mbpta analyze], [mbpta client] and the daemon build, check,
+    key and measure a campaign only through them, so a record either side
+    warms is warm for the other.
 
     Newline-delimited JSON over a Unix socket.  A connection carries one
     request line; the daemon answers with zero or more {!Event} lines
@@ -10,8 +16,7 @@
 
 module M := Repro_mbpta
 
-(** What to measure and how to analyze it — the daemon-side mirror of the
-    CLI's analyze flags.  Every field has the CLI's default. *)
+(** What to measure and how to analyze it: one field per analyze flag. *)
 type spec = {
   runs : int;
   seed : int64;
@@ -26,15 +31,22 @@ type spec = {
   min_survival : float;
 }
 
+(** The flag defaults. *)
 val default_spec : spec
 
+(** [Error] names the first field outside its bound: [runs], [frames] and
+    [watchdog_budget] (when set) must be >= 1, [seu_rate] and
+    [max_retries] >= 0, [engineering_factor] >= 1, [min_survival] in
+    [[0, 1]], and [bootstrap] 0 or >= 20.  {!request_of_line} applies it to
+    every campaign and query. *)
+val validate_spec : spec -> (spec, string) result
+
 (** A spec measures with fault injection iff [seu_rate > 0] or a watchdog
-    budget is set — the same rule as the CLI. *)
+    budget is set. *)
 val resilient : spec -> bool
 
-(** The content-addressed store configuration of this spec — the same
-    pairs, in the same spelling, as [mbpta analyze], so records warmed by
-    either side serve the other. *)
+(** The content-addressed store configuration of this spec: only what
+    determines a measured value, never an analysis-side field. *)
 val store_config : spec -> (string * string) list
 
 val store_key : spec -> string
@@ -50,6 +62,25 @@ val analysis_id : spec -> string
 
 val tail_name : M.Protocol.tail -> string
 val tail_of_name : string -> (M.Protocol.tail, string) result
+
+(** [measure ?counters exp ~prefix] — run index to cycles on [exp].  With
+    [counters], each run's micro-architectural metrics are also added to
+    the registry under [prefix] (["runs"], ["cycles"], cache/TLB misses,
+    ...); the totals do not depend on the job count.  The cycles are the
+    same with or without counting. *)
+val measure :
+  ?counters:M.Trace.Counters.t -> Repro_tvca.Experiment.t -> prefix:string -> int -> float
+
+(** [campaign_input ?counters spec] — the measurement closures and
+    analysis inputs of [spec]'s DET and RAND experiments: [`Resilient]
+    (supervised, fault-injected) iff {!resilient}.  Every completed run
+    counts as in {!measure}, under ["det."]/["rand."].  Raises
+    [Invalid_argument] on a negative [seu_rate] or a [watchdog_budget]
+    below 1, which {!validate_spec} rejects first. *)
+val campaign_input :
+  ?counters:M.Trace.Counters.t ->
+  spec ->
+  [ `Plain of M.Campaign.input | `Resilient of M.Campaign.resilient_input ]
 
 type query =
   | Pwcet of float  (** pWCET estimate at this cutoff probability *)

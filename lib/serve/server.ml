@@ -21,8 +21,6 @@
    exactly. *)
 
 module M = Repro_mbpta
-module T = Repro_tvca
-module P = Repro_platform
 module Sp = Serve_protocol
 module Json = M.Trace.Json
 
@@ -121,79 +119,7 @@ let rec drain_waiter w fd =
   match r with Sp.Event _ -> drain_waiter w fd | _ -> ()
 
 (* ------------------------------------------------------------------ *)
-(* Campaign glue (mirrors the CLI's analyze subcommand so the report is
-   byte-identical to `mbpta analyze` with the same spec) *)
-
-let record_metrics counters ~prefix (m : P.Metrics.t) =
-  let add name v = M.Trace.Counters.add counters (prefix ^ name) v in
-  add "runs" 1;
-  add "cycles" m.P.Metrics.cycles;
-  add "instructions" m.P.Metrics.instructions;
-  add "il1_misses" m.P.Metrics.il1_misses;
-  add "dl1_misses" m.P.Metrics.dl1_misses;
-  add "itlb_misses" m.P.Metrics.itlb_misses;
-  add "dtlb_misses" m.P.Metrics.dtlb_misses;
-  add "bus_transactions" m.P.Metrics.bus_transactions;
-  add "dram_row_misses" m.P.Metrics.dram_row_misses;
-  add "faults_injected" m.P.Metrics.faults_injected
-
-let resilience_outcome_of = function
-  | T.Experiment.Completed { metrics; _ } ->
-      M.Resilience.Completed (float_of_int (P.Metrics.cycles metrics))
-  | T.Experiment.Watchdog { cycles; budget; _ } ->
-      M.Resilience.Timeout
-        { detail = Printf.sprintf "watchdog fired at %d cycles (budget %d)" cycles budget }
-  | T.Experiment.Runaway { program; _ } ->
-      M.Resilience.Timeout { detail = "runaway execution of " ^ program }
-  | T.Experiment.Crashed { detail; _ } -> M.Resilience.Crashed { detail }
-  | T.Experiment.Corrupted { worst_error; _ } ->
-      M.Resilience.Corrupted
-        { detail = Printf.sprintf "worst output error %g" worst_error }
-
-let campaign_input (spec : Sp.spec) counters =
-  let experiment config =
-    T.Experiment.create ~frames:spec.frames ~config ~base_seed:spec.seed ()
-  in
-  let det = experiment P.Config.deterministic in
-  let rand = experiment P.Config.mbpta_compliant in
-  let measure exp ~prefix i =
-    let m = T.Experiment.run exp ~run_index:i in
-    record_metrics counters ~prefix m;
-    float_of_int (P.Metrics.cycles m)
-  in
-  let base =
-    {
-      M.Campaign.runs = spec.runs;
-      measure_det = measure det ~prefix:"det.";
-      measure_rand = measure rand ~prefix:"rand.";
-      options = Sp.options spec;
-      engineering_factor = spec.engineering_factor;
-    }
-  in
-  if not (Sp.resilient spec) then `Plain base
-  else begin
-    let fault =
-      T.Experiment.fault_config ~seu_rate:spec.seu_rate ?watchdog_budget:spec.watchdog_budget ()
-    in
-    let measure_outcome exp prefix ~run_index ~attempt =
-      let outcome = T.Experiment.run_faulty exp ~fault ~attempt ~run_index () in
-      (match outcome with
-      | T.Experiment.Completed { metrics; _ } -> record_metrics counters ~prefix metrics
-      | _ -> ());
-      resilience_outcome_of outcome
-    in
-    let policy =
-      {
-        M.Resilience.default_policy with
-        max_retries = spec.max_retries;
-        min_survival = spec.min_survival;
-      }
-    in
-    `Resilient
-      (M.Campaign.resilient_input ~policy ~base
-         ~measure_det_outcome:(measure_outcome det "det.")
-         ~measure_rand_outcome:(measure_outcome rand "rand.") ())
-  end
+(* Campaigns *)
 
 type job_outcome =
   | Done of { report : string; counters : (string * int) list; warm : bool }
@@ -222,7 +148,7 @@ let run_campaign t job =
         Fun.protect
           ~finally:(fun () -> M.Store.close session)
           (fun () ->
-            match campaign_input spec counters with
+            match Sp.campaign_input ~counters spec with
             | `Plain input ->
                 M.Campaign.run ~jobs:t.cfg.jobs ~trace:mtrace ~store:session input
             | `Resilient input ->

@@ -465,11 +465,62 @@ let test_protocol_roundtrip () =
     reqs;
   (* The store key must survive the wire: a spec parsed back from JSON
      addresses the same record (floats travel as %.17g). *)
-  match Sp.request_of_line (Sp.request_to_line (Sp.Campaign { spec; events = false })) with
+  (match Sp.request_of_line (Sp.request_to_line (Sp.Campaign { spec; events = false })) with
   | Ok (Sp.Campaign { spec = spec'; _ }) ->
       Alcotest.(check string) "store key stable across the wire" (Sp.store_key spec)
         (Sp.store_key spec')
-  | _ -> Alcotest.fail "campaign request did not round-trip"
+  | _ -> Alcotest.fail "campaign request did not round-trip");
+  (* Pinned keys: the names of the records `mbpta analyze --runs 200
+     --cache-dir D` writes, without and with `--seu-rate 40
+     --watchdog-budget 2000000 --max-retries 3`.  A changed key silently
+     orphans every stored record. *)
+  let runs200 = { Sp.default_spec with runs = 200 } in
+  Alcotest.(check string) "fault-free store key pinned" "2044d761d14a631ec87844ff0242281f"
+    (Sp.store_key runs200);
+  Alcotest.(check string) "resilient store key pinned" "d00e2056d179dd125a2548316845393a"
+    (Sp.store_key
+       { runs200 with seu_rate = 40.; watchdog_budget = Some 2_000_000; max_retries = 3 });
+  (* One spec past each bound of the validator; the daemon must refuse
+     every one before it touches the store. *)
+  let d = Sp.default_spec in
+  List.iter
+    (fun (field, bad) ->
+      (match Sp.validate_spec bad with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "validate_spec accepted a bad %s" field);
+      match
+        Sp.request_of_line (Sp.request_to_line (Sp.Campaign { spec = bad; events = false }))
+      with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "a campaign with a bad %s parsed" field)
+    [
+      ("runs", { d with runs = 0 });
+      ("frames", { d with frames = 0 });
+      ("seu_rate", { d with seu_rate = -1. });
+      ("engineering_factor", { d with engineering_factor = 0.5 });
+      ("min_survival", { d with min_survival = 1.5 });
+      ("bootstrap", { d with bootstrap = 5 });
+      ("max_retries", { d with max_retries = -1 });
+      ("watchdog_budget", { d with seu_rate = 1.; watchdog_budget = Some 0 });
+    ]
+
+let test_bad_spec_refused () =
+  with_server @@ fun _srv sock ->
+  let spec = { (spec ~seed:4110L) with seu_rate = 1.; watchdog_budget = Some 0 } in
+  (match request sock (Sp.Campaign { spec; events = false }) with
+  | Sp.Failed msg ->
+      Alcotest.(check string) "typed refusal"
+        "bad request: watchdog_budget must be >= 1 (got 0)" msg
+  | r -> Alcotest.failf "expected a refusal, got %s" (Sp.response_to_line r));
+  let store = Filename.concat (Filename.dirname sock) "store" in
+  let records =
+    if Sys.file_exists store then
+      List.filter
+        (fun f -> Filename.check_suffix f ".jsonl")
+        (Array.to_list (Sys.readdir store))
+    else []
+  in
+  Alcotest.(check (list string)) "no record created" [] records
 
 let () =
   Alcotest.run "serve"
@@ -495,8 +546,11 @@ let () =
             test_memo_options_distinct;
         ] );
       ( "admission",
-        [ Alcotest.test_case "overload gets a typed rejection" `Quick
-            test_overload_rejected ] );
+        [
+          Alcotest.test_case "overload gets a typed rejection" `Quick test_overload_rejected;
+          Alcotest.test_case "out-of-bounds spec refused, no record" `Quick
+            test_bad_spec_refused;
+        ] );
       ( "shutdown",
         [ Alcotest.test_case "drain rejects queued, checkpoints in-flight" `Quick
             test_shutdown_drains ] );

@@ -162,6 +162,17 @@ let test_resume_equals_cold () =
   let r = open_exn ~chunk_size:8 ~resume:true root ~key ~runs ~resilient:false in
   Alcotest.(check int) "two chunks survived the crash" 16
     (Store.cached_runs r ~phase:session_phase);
+  (* A measurement that raises mid-chunk loses only the in-flight chunk:
+     nothing past the last barrier is persisted. *)
+  (match
+     Store.collect r ~jobs:1 ~phase:session_phase runs (fun i ->
+         if i >= 20 then failwith "injected crash mid-chunk" else awkward i)
+   with
+  | _ -> Alcotest.fail "expected the injected crash"
+  | exception Failure _ -> Store.close r);
+  let r = open_exn ~chunk_size:8 ~resume:true root ~key ~runs ~resilient:false in
+  Alcotest.(check int) "a crash loses at most the in-flight chunk" 16
+    (Store.cached_runs r ~phase:session_phase);
   let resumed = Store.collect r ~jobs:4 ~phase:session_phase runs awkward in
   Store.close r;
   check_bits "resumed run is bit-identical to cold" reference resumed;
@@ -951,60 +962,6 @@ let test_index_sidecar () =
   | l -> Alcotest.failf "expected 1 record, found %d" (List.length l));
   Alcotest.(check bool) "stale sidecar rebuilt" true (read_file idx <> junk)
 
-(* --- cost-calibrated dispatch ------------------------------------------- *)
-
-let test_dispatch_identity () =
-  (* Every dispatch mode must produce bit-identical samples and, for equal
-     stores, byte-identical records. *)
-  with_dirs 2 @@ fun dirs ->
-  let d_chunk, d_auto = (List.nth dirs 0, List.nth dirs 1) in
-  let key = Store.key ~chunk_size:8 config in
-  let run dir dispatch jobs =
-    let root = Store.open_root ~dir in
-    let s = open_exn ~chunk_size:8 root ~key ~runs:32 ~resilient:false in
-    let v = Store.collect s ~jobs ~dispatch ~phase:"collect_det" 32 awkward in
-    Store.close s;
-    v
-  in
-  let reference = run d_chunk `Chunk 1 in
-  let auto = run d_auto `Auto 4 in
-  check_bits "`Auto == `Chunk samples" reference auto;
-  Alcotest.(check string) "byte-identical records across dispatch modes"
-    (read_file (record_file (Store.open_root ~dir:d_chunk) key))
-    (read_file (record_file (Store.open_root ~dir:d_auto) key));
-  (* batched dispatch against a fresh store, then crash-resume under `Auto *)
-  let d_batch = temp_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf d_batch) @@ fun () ->
-  let root = Store.open_root ~dir:d_batch in
-  let s = open_exn ~chunk_size:8 root ~key ~runs:32 ~resilient:false in
-  let fail_after_two i =
-    if i >= 16 then failwith "injected crash mid-batch" else awkward i
-  in
-  (* `Batch 2 on 8-run chunks: the first fan-out covers runs [0,16) and
-     persists both chunks at its barrier; the second fan-out crashes before
-     persisting anything, so exactly one whole batch survives. *)
-  (match Store.collect s ~jobs:1 ~dispatch:(`Batch 2) ~phase:"collect_det" 32 fail_after_two with
-  | _ -> Alcotest.fail "expected the injected crash"
-  | exception Failure _ -> Store.close s);
-  let r = open_exn ~chunk_size:8 ~resume:true root ~key ~runs:32 ~resilient:false in
-  Alcotest.(check int) "crash loses at most one batch" 16
-    (Store.cached_runs r ~phase:"collect_det");
-  let resumed = Store.collect r ~jobs:4 ~dispatch:`Auto ~phase:"collect_det" 32 awkward in
-  Store.close r;
-  check_bits "batched crash + auto resume == cold" reference resumed
-
-let test_batch_of_cost () =
-  let pick chunk_ns = Repro_parallel.batch_of_cost ~chunk_ns ~target_ns:50_000_000L in
-  Alcotest.(check int) "50ms chunk -> 1" 1 (pick 50_000_000L);
-  Alcotest.(check int) "30ms chunk -> 2" 2 (pick 30_000_000L);
-  Alcotest.(check int) "10ms chunk -> 8" 8 (pick 10_000_000L);
-  Alcotest.(check int) "1ms chunk -> 64" 64 (pick 1_000_000L);
-  Alcotest.(check int) "1ns chunk caps at the grid max" 64 (pick 1L);
-  Alcotest.(check int) "non-positive cost clamps to 1ns" 64 (pick 0L);
-  match Repro_parallel.batch_of_cost ~chunk_ns:1L ~target_ns:0L with
-  | _ -> Alcotest.fail "target_ns < 1 must be rejected"
-  | exception Invalid_argument _ -> ()
-
 let () =
   Alcotest.run "store"
     [
@@ -1070,12 +1027,6 @@ let () =
           Alcotest.test_case "quarantine + graceful degradation" `Quick
             test_merge_quarantines_and_degrades;
           Alcotest.test_case "merge crash safety" `Quick test_merge_crash_safety;
-        ] );
-      ( "dispatch",
-        [
-          Alcotest.test_case "dispatch modes are sample-identical" `Quick
-            test_dispatch_identity;
-          Alcotest.test_case "cost-to-batch grid rounding" `Quick test_batch_of_cost;
         ] );
       ( "export",
         [ Alcotest.test_case "export round-trip" `Quick test_export_roundtrip ] );
