@@ -42,7 +42,7 @@ let () =
         Isa.Executor.run ~program:kernel.K.program
           ~layout:(Isa.Layout.sequential kernel.K.program)
           ~memory
-          ~on_retire:(fun _ -> ())
+          ~sink:Isa.Executor.null_sink
           ()
       in
       let golden =

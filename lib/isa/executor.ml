@@ -98,214 +98,11 @@ let element_index (a : raddr) regs =
          (Array.length a.values));
   idx
 
-module Stepper = struct
-  type t = {
-    code : rop array;
-    layout : Layout.t;
-    name : string;
-    max_instructions : int;
-    (* Countdown twin of [retired]: one zero test per step instead of
-       loading and comparing two fields.  Invariant: fuel =
-       max_instructions - retired. *)
-    mutable fuel : int;
-    regs : int array;
-    fregs : float array;
-    call_stack : int array;
-    mutable sp : int;
-    mutable pc : int;
-    mutable running : bool;
-    mutable retired : int;
-    mutable loads : int;
-    mutable stores : int;
-    mutable fp_long : int;
-    mutable branches : int;
-    mutable taken : int;
-  }
-
-  let create ?(max_instructions = 10_000_000) ?entry ?(init_regs = []) ~program ~layout
-      ~memory () =
-    let entry_label = match entry with Some l -> l | None -> Program.entry program in
-    let t =
-      {
-        code = resolve ~program ~layout ~memory;
-        layout;
-        name = Program.name program;
-        max_instructions;
-        fuel = max_instructions;
-        regs = Array.make Instr.register_count 0;
-        fregs = Array.make Instr.register_count 0.;
-        call_stack = Array.make max_call_depth 0;
-        sp = 0;
-        pc = Program.label_index program entry_label;
-        running = true;
-        retired = 0;
-        loads = 0;
-        stores = 0;
-        fp_long = 0;
-        branches = 0;
-        taken = 0;
-      }
-    in
-    List.iter
-      (fun (r, v) ->
-        if r < 0 || r >= Instr.register_count then
-          invalid_arg "Stepper.create: init register out of range";
-        t.regs.(r) <- v)
-      init_regs;
-    t
-
-  let finished t = not t.running
-
-  let corrupt_int_register t ~reg ~bit =
-    if reg < 0 || reg >= Instr.register_count then
-      invalid_arg "Stepper.corrupt_int_register: register out of range";
-    (* Model 32-bit architectural registers: flip one of the low 32 bits. *)
-    t.regs.(reg) <- t.regs.(reg) lxor (1 lsl (bit land 31))
-
-  let corrupt_float_register t ~reg ~bit =
-    if reg < 0 || reg >= Instr.register_count then
-      invalid_arg "Stepper.corrupt_float_register: register out of range";
-    (* Flip one bit of the IEEE-754 image; upsets in the exponent or sign
-       can turn a value into inf/NaN, exactly as on real hardware. *)
-    let bits = Int64.bits_of_float t.fregs.(reg) in
-    t.fregs.(reg) <-
-      Int64.float_of_bits (Int64.logxor bits (Int64.shift_left 1L (bit land 63)))
-
-  let stats t =
-    {
-      retired = t.retired;
-      loads = t.loads;
-      stores = t.stores;
-      fp_long_ops = t.fp_long;
-      branches = t.branches;
-      taken_branches = t.taken;
-    }
-
-  let step t =
-    if not t.running then None
-    else begin
-      if t.fuel <= 0 then raise (Runaway t.name);
-      t.fuel <- t.fuel - 1;
-      let regs = t.regs and fregs = t.fregs in
-      let fetch_addr = Layout.code_address t.layout t.pc in
-      let op = t.code.(t.pc) in
-      t.retired <- t.retired + 1;
-      let next = t.pc + 1 in
-      let simple work =
-        t.pc <- next;
-        work
-      in
-      let branch cond target =
-        t.branches <- t.branches + 1;
-        if cond then t.taken <- t.taken + 1;
-        t.pc <- (if cond then target else next);
-        Instr.Ctrl cond
-      in
-      let work =
-        match op with
-        | RLi (rd, v) ->
-            regs.(rd) <- v;
-            simple Instr.Int_alu
-        | RAdd (rd, r1, r2) ->
-            regs.(rd) <- regs.(r1) + regs.(r2);
-            simple Instr.Int_alu
-        | RAddi (rd, r1, v) ->
-            regs.(rd) <- regs.(r1) + v;
-            simple Instr.Int_alu
-        | RSub (rd, r1, r2) ->
-            regs.(rd) <- regs.(r1) - regs.(r2);
-            simple Instr.Int_alu
-        | RMul (rd, r1, r2) ->
-            regs.(rd) <- regs.(r1) * regs.(r2);
-            simple Instr.Int_mul
-        | RFli (fd, v) ->
-            fregs.(fd) <- v;
-            simple Instr.Int_alu
-        | RFld (fd, a) ->
-            let idx = element_index a regs in
-            fregs.(fd) <- a.values.(idx);
-            t.loads <- t.loads + 1;
-            simple (Instr.Mem_read (a.byte_base + (idx * Layout.element_bytes)))
-        | RFst (fs, a) ->
-            let idx = element_index a regs in
-            a.values.(idx) <- fregs.(fs);
-            t.stores <- t.stores + 1;
-            simple (Instr.Mem_write (a.byte_base + (idx * Layout.element_bytes)))
-        | RFadd (fd, f1, f2) ->
-            fregs.(fd) <- fregs.(f1) +. fregs.(f2);
-            simple (Instr.Fp_short Instr.Fadd_op)
-        | RFsub (fd, f1, f2) ->
-            fregs.(fd) <- fregs.(f1) -. fregs.(f2);
-            simple (Instr.Fp_short Instr.Fadd_op)
-        | RFmul (fd, f1, f2) ->
-            fregs.(fd) <- fregs.(f1) *. fregs.(f2);
-            simple (Instr.Fp_short Instr.Fmul_op)
-        | RFdiv (fd, f1, f2) ->
-            let x = fregs.(f1) and y = fregs.(f2) in
-            fregs.(fd) <- x /. y;
-            t.fp_long <- t.fp_long + 1;
-            simple (Instr.Fp_long (Instr.Fdiv_op, x, y))
-        | RFsqrt (fd, f1) ->
-            let x = fregs.(f1) in
-            fregs.(fd) <- sqrt x;
-            t.fp_long <- t.fp_long + 1;
-            simple (Instr.Fp_long (Instr.Fsqrt_op, x, 0.))
-        | RFabs (fd, f1) ->
-            fregs.(fd) <- Float.abs fregs.(f1);
-            simple (Instr.Fp_short Instr.Fadd_op)
-        | RFmov (fd, f1) ->
-            fregs.(fd) <- fregs.(f1);
-            simple (Instr.Fp_short Instr.Fadd_op)
-        | RFcvt (rd, f1) ->
-            regs.(rd) <- int_of_float fregs.(f1);
-            simple Instr.Int_alu
-        | RIcvt (fd, r1) ->
-            fregs.(fd) <- float_of_int regs.(r1);
-            simple Instr.Int_alu
-        | RBlt (r1, r2, l) -> branch (regs.(r1) < regs.(r2)) l
-        | RBge (r1, r2, l) -> branch (regs.(r1) >= regs.(r2)) l
-        | RBeq (r1, r2, l) -> branch (regs.(r1) = regs.(r2)) l
-        | RBne (r1, r2, l) -> branch (regs.(r1) <> regs.(r2)) l
-        | RFblt (f1, f2, l) -> branch (fregs.(f1) < fregs.(f2)) l
-        | RFbge (f1, f2, l) -> branch (fregs.(f1) >= fregs.(f2)) l
-        | RJmp l ->
-            t.branches <- t.branches + 1;
-            t.taken <- t.taken + 1;
-            t.pc <- l;
-            Instr.Ctrl true
-        | RCall l ->
-            if t.sp >= max_call_depth then raise (Stack_overflow_ t.name);
-            t.call_stack.(t.sp) <- next;
-            t.sp <- t.sp + 1;
-            t.branches <- t.branches + 1;
-            t.taken <- t.taken + 1;
-            t.pc <- l;
-            Instr.Ctrl true
-        | RRet ->
-            t.branches <- t.branches + 1;
-            t.taken <- t.taken + 1;
-            if t.sp = 0 then t.running <- false
-            else begin
-              t.sp <- t.sp - 1;
-              t.pc <- t.call_stack.(t.sp)
-            end;
-            Instr.Ctrl true
-        | RNop -> simple Instr.No_op
-        | RHalt ->
-            t.running <- false;
-            Instr.No_op
-      in
-      Some { Instr.fetch_addr; work }
-    end
-end
-
-(* Timing consumer for the pre-decoded runner.  Instead of allocating one
-   {!Instr.retired} record (plus its [work] payload) per executed
-   instruction and dispatching on it, the runner calls the per-work-class
-   hook directly: [on_fetch] first for every instruction (base cycle +
-   instruction fetch), then at most one work hook.  Work classes that add
-   no latency in the platform model ([Int_alu], [No_op], not-taken
-   branches) get no hook call at all. *)
+(* Timing consumer for the runner: [on_fetch] first for every instruction
+   (base cycle + instruction fetch), then at most one work hook.  Work
+   classes that add no latency in the platform model ([Int_alu], [No_op])
+   get no hook call at all; every control instruction reports whether it
+   was taken through [on_branch]. *)
 type sink = {
   on_fetch : int -> unit;
   on_int_mul : unit -> unit;
@@ -313,8 +110,19 @@ type sink = {
   on_write : int -> unit;
   on_fp_short : Instr.fpu_op -> unit;
   on_fp_long : Instr.fpu_op -> float -> float -> unit;
-  on_taken : unit -> unit;
+  on_branch : bool -> unit;
 }
+
+let null_sink =
+  {
+    on_fetch = (fun _ -> ());
+    on_int_mul = (fun () -> ());
+    on_read = (fun _ -> ());
+    on_write = (fun _ -> ());
+    on_fp_short = (fun _ -> ());
+    on_fp_long = (fun _ _ _ -> ());
+    on_branch = (fun _ -> ());
+  }
 
 module Decoded = struct
   (* The memory-independent half of the decode: everything [resolve] can
@@ -342,10 +150,13 @@ module Decoded = struct
 
   let name t = t.name
 
+  type decoded = t
+
   module Runner = struct
     type t = {
       code : rop array;
       fetch_addrs : int array;
+      program : Program.t;
       entry_pc : int;
       name : string;
       max_instructions : int;
@@ -363,10 +174,11 @@ module Decoded = struct
       mutable taken : int;
     }
 
-    let create ?(max_instructions = 10_000_000) ~decoded ~memory () =
+    let create ?(max_instructions = 10_000_000) ~(decoded : decoded) ~memory () =
       {
         code = resolve ~program:decoded.program ~layout:decoded.layout ~memory;
         fetch_addrs = decoded.fetch_addrs;
+        program = decoded.program;
         entry_pc = decoded.entry_pc;
         name = decoded.name;
         max_instructions;
@@ -385,14 +197,21 @@ module Decoded = struct
       }
 
     (* Restore the architectural state [create] built, so one linked runner
-       serves every run of a batch.  The [code] array needs no relink: it
-       binds the memory's backing arrays, which are reused (and zeroed by
-       the caller) across runs. *)
-    let reset t =
+       serves every run of a batch (or every activation of an RTOS task).
+       The [code] array needs no relink: it binds the memory's backing
+       arrays, which are reused (and zeroed by the caller) across runs. *)
+    let reset ?entry ?(init_regs = []) t =
+      List.iter
+        (fun (r, _) ->
+          if r < 0 || r >= Instr.register_count then
+            invalid_arg "Runner.reset: init register out of range")
+        init_regs;
       Array.fill t.regs 0 (Array.length t.regs) 0;
       Array.fill t.fregs 0 (Array.length t.fregs) 0.;
+      List.iter (fun (r, v) -> t.regs.(r) <- v) init_regs;
       t.sp <- 0;
-      t.pc <- t.entry_pc;
+      t.pc <-
+        (match entry with None -> t.entry_pc | Some l -> Program.label_index t.program l);
       t.running <- true;
       t.retired <- 0;
       t.loads <- 0;
@@ -401,14 +220,19 @@ module Decoded = struct
       t.branches <- 0;
       t.taken <- 0
 
+    let finished t = not t.running
+
     let corrupt_int_register t ~reg ~bit =
       if reg < 0 || reg >= Instr.register_count then
         invalid_arg "Runner.corrupt_int_register: register out of range";
+      (* Model 32-bit architectural registers: flip one of the low 32 bits. *)
       t.regs.(reg) <- t.regs.(reg) lxor (1 lsl (bit land 31))
 
     let corrupt_float_register t ~reg ~bit =
       if reg < 0 || reg >= Instr.register_count then
         invalid_arg "Runner.corrupt_float_register: register out of range";
+      (* Flip one bit of the IEEE-754 image; upsets in the exponent or sign
+         can turn a value into inf/NaN, exactly as on real hardware. *)
       let bits = Int64.bits_of_float t.fregs.(reg) in
       t.fregs.(reg) <-
         Int64.float_of_bits (Int64.logxor bits (Int64.shift_left 1L (bit land 63)))
@@ -423,11 +247,20 @@ module Decoded = struct
         taken_branches = t.taken;
       }
 
+    let[@inline] branch t (sink : sink) fetch cond target =
+      t.branches <- t.branches + 1;
+      if cond then begin
+        t.taken <- t.taken + 1;
+        t.pc <- target
+      end
+      else t.pc <- t.pc + 1;
+      sink.on_fetch fetch;
+      sink.on_branch cond
+
     (* One instruction: architectural effects first (including any
-       out-of-bounds raise), then the timing hooks — exactly the
-       [Stepper.step]-then-[consume] order of the retired path, so the
-       sequence of stateful platform accesses (and hence every PRNG draw)
-       is bit-identical, even for runs that crash mid-instruction. *)
+       out-of-bounds raise), then the timing hooks, so the sequence of
+       stateful platform accesses (and hence every PRNG draw) is the same
+       even for runs that crash mid-instruction. *)
     let[@inline] exec_one t (sink : sink) =
       let pc = t.pc in
       let op = t.code.(pc) in
@@ -522,99 +355,18 @@ module Decoded = struct
           fregs.(fd) <- float_of_int regs.(r1);
           t.pc <- next;
           sink.on_fetch fetch
-      | RBlt (r1, r2, l) ->
-          t.branches <- t.branches + 1;
-          let cond = regs.(r1) < regs.(r2) in
-          if cond then begin
-            t.taken <- t.taken + 1;
-            t.pc <- l;
-            sink.on_fetch fetch;
-            sink.on_taken ()
-          end
-          else begin
-            t.pc <- next;
-            sink.on_fetch fetch
-          end
-      | RBge (r1, r2, l) ->
-          t.branches <- t.branches + 1;
-          let cond = regs.(r1) >= regs.(r2) in
-          if cond then begin
-            t.taken <- t.taken + 1;
-            t.pc <- l;
-            sink.on_fetch fetch;
-            sink.on_taken ()
-          end
-          else begin
-            t.pc <- next;
-            sink.on_fetch fetch
-          end
-      | RBeq (r1, r2, l) ->
-          t.branches <- t.branches + 1;
-          let cond = regs.(r1) = regs.(r2) in
-          if cond then begin
-            t.taken <- t.taken + 1;
-            t.pc <- l;
-            sink.on_fetch fetch;
-            sink.on_taken ()
-          end
-          else begin
-            t.pc <- next;
-            sink.on_fetch fetch
-          end
-      | RBne (r1, r2, l) ->
-          t.branches <- t.branches + 1;
-          let cond = regs.(r1) <> regs.(r2) in
-          if cond then begin
-            t.taken <- t.taken + 1;
-            t.pc <- l;
-            sink.on_fetch fetch;
-            sink.on_taken ()
-          end
-          else begin
-            t.pc <- next;
-            sink.on_fetch fetch
-          end
-      | RFblt (f1, f2, l) ->
-          t.branches <- t.branches + 1;
-          let cond = fregs.(f1) < fregs.(f2) in
-          if cond then begin
-            t.taken <- t.taken + 1;
-            t.pc <- l;
-            sink.on_fetch fetch;
-            sink.on_taken ()
-          end
-          else begin
-            t.pc <- next;
-            sink.on_fetch fetch
-          end
-      | RFbge (f1, f2, l) ->
-          t.branches <- t.branches + 1;
-          let cond = fregs.(f1) >= fregs.(f2) in
-          if cond then begin
-            t.taken <- t.taken + 1;
-            t.pc <- l;
-            sink.on_fetch fetch;
-            sink.on_taken ()
-          end
-          else begin
-            t.pc <- next;
-            sink.on_fetch fetch
-          end
-      | RJmp l ->
-          t.branches <- t.branches + 1;
-          t.taken <- t.taken + 1;
-          t.pc <- l;
-          sink.on_fetch fetch;
-          sink.on_taken ()
+      | RBlt (r1, r2, l) -> branch t sink fetch (regs.(r1) < regs.(r2)) l
+      | RBge (r1, r2, l) -> branch t sink fetch (regs.(r1) >= regs.(r2)) l
+      | RBeq (r1, r2, l) -> branch t sink fetch (regs.(r1) = regs.(r2)) l
+      | RBne (r1, r2, l) -> branch t sink fetch (regs.(r1) <> regs.(r2)) l
+      | RFblt (f1, f2, l) -> branch t sink fetch (fregs.(f1) < fregs.(f2)) l
+      | RFbge (f1, f2, l) -> branch t sink fetch (fregs.(f1) >= fregs.(f2)) l
+      | RJmp l -> branch t sink fetch true l
       | RCall l ->
           if t.sp >= max_call_depth then raise (Stack_overflow_ t.name);
           t.call_stack.(t.sp) <- next;
           t.sp <- t.sp + 1;
-          t.branches <- t.branches + 1;
-          t.taken <- t.taken + 1;
-          t.pc <- l;
-          sink.on_fetch fetch;
-          sink.on_taken ()
+          branch t sink fetch true l
       | RRet ->
           t.branches <- t.branches + 1;
           t.taken <- t.taken + 1;
@@ -624,7 +376,7 @@ module Decoded = struct
              t.pc <- t.call_stack.(t.sp)
            end);
           sink.on_fetch fetch;
-          sink.on_taken ()
+          sink.on_branch true
       | RNop ->
           t.pc <- next;
           sink.on_fetch fetch
@@ -632,11 +384,17 @@ module Decoded = struct
           t.running <- false;
           sink.on_fetch fetch
 
+    let step t ~sink =
+      if t.running then begin
+        if t.retired >= t.max_instructions then raise (Runaway t.name);
+        exec_one t sink
+      end
+
     (* The Runaway bound moves out of the inner loop: execute in blocks of
        at most [block] instructions, re-checking the remaining budget only
-       at block boundaries.  The raise fires at exactly the step the
-       per-instruction check would have fired on (budget exhausted while
-       still running), so oracle equality holds for runaway programs too. *)
+       at block boundaries.  The raise fires at exactly the instruction
+       [step]'s per-instruction check fires on (budget exhausted while
+       still running). *)
     let block = 4096
 
     let run t ~sink =
@@ -652,8 +410,7 @@ module Decoded = struct
       stats t
 
     (* Supervised variant for fault-injected runs: [post] fires after every
-       retired instruction (watchdog, SEU injection), matching the retired
-       per-step loop's cadence. *)
+       retired instruction (watchdog, SEU injection). *)
     let run_supervised t ~sink ~post =
       while t.running do
         let budget = t.max_instructions - t.retired in
@@ -669,29 +426,18 @@ module Decoded = struct
   end
 end
 
-let run ?max_instructions ~program ~layout ~memory ~on_retire () =
-  let stepper = Stepper.create ?max_instructions ~program ~layout ~memory () in
-  let rec go () =
-    match Stepper.step stepper with
-    | Some retired ->
-        on_retire retired;
-        go ()
-    | None -> ()
-  in
-  go ();
-  Stepper.stats stepper
+let run ?max_instructions ~program ~layout ~memory ~sink () =
+  let decoded = Decoded.decode ~program ~layout in
+  Decoded.Runner.run (Decoded.Runner.create ?max_instructions ~decoded ~memory ()) ~sink
 
 let path_signature ?max_instructions ~program ~layout ~memory () =
   let h = ref 0 in
-  let on_retire (r : Instr.retired) =
-    match r.Instr.work with
-    | Instr.Ctrl taken ->
-        (* FNV-style fold of the taken/not-taken sequence. *)
-        h := (!h * 16777619) lxor (if taken then 1 else 2);
-        h := !h land max_int
-    | Instr.Int_alu | Instr.Int_mul | Instr.Mem_read _ | Instr.Mem_write _
-    | Instr.Fp_short _ | Instr.Fp_long _ | Instr.No_op ->
-        ()
+  (* FNV-style fold of the taken/not-taken sequence. *)
+  let on_branch taken =
+    h := (!h * 16777619) lxor (if taken then 1 else 2);
+    h := !h land max_int
   in
-  let (_ : stats) = run ?max_instructions ~program ~layout ~memory ~on_retire () in
+  let (_ : stats) =
+    run ?max_instructions ~program ~layout ~memory ~sink:{ null_sink with on_branch } ()
+  in
   !h

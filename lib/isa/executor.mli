@@ -1,13 +1,15 @@
 (** Functional execution of a program: interprets the instruction semantics,
-    updating registers and {!Memory}, and streams one {!Instr.retired} record
-    per executed instruction to the caller (normally the platform timing
-    model).
+    updating registers and {!Memory}, and streams timing events per executed
+    instruction to a {!sink} (normally the platform timing model).
 
     Execution is fully deterministic given (program, layout, memory
-    contents); all timing is the consumer's business.
+    contents); all timing is the sink's business.
 
-    Two interfaces: {!run} executes to completion; {!Stepper} executes one
-    instruction at a time, which is what a preemptive scheduler needs to
+    A program is decoded once ({!Decoded.decode}: label targets, data bases
+    and fetch addresses resolved to flat arrays) and linked against a live
+    memory image once per {!Decoded.Runner}.  A runner executes to
+    completion ({!Decoded.Runner.run}) or one instruction at a time
+    ({!Decoded.Runner.step}), which is what a preemptive scheduler needs to
     interleave several tasks on one core. *)
 
 exception Stack_overflow_ of string
@@ -25,66 +27,11 @@ type stats = {
   taken_branches : int;
 }
 
-(** Resumable execution: one instruction per {!Stepper.step} call. *)
-module Stepper : sig
-  type t
-
-  (** [create ?max_instructions ?entry ?init_regs ~program ~layout ~memory ()]
-      — [entry] defaults to the program's entry label; [init_regs] presets
-      integer registers (e.g. a task's activation index) before the first
-      instruction. *)
-  val create :
-    ?max_instructions:int ->
-    ?entry:string ->
-    ?init_regs:(int * int) list ->
-    program:Program.t ->
-    layout:Layout.t ->
-    memory:Memory.t ->
-    unit ->
-    t
-
-  (** [step t] executes one instruction and returns its retirement record,
-      or [None] if the program already finished ([Halt], or [Ret] with an
-      empty call stack). *)
-  val step : t -> Instr.retired option
-
-  val finished : t -> bool
-  val stats : t -> stats
-
-  (** {2 SEU injection hooks}
-
-      [corrupt_int_register t ~reg ~bit] flips one of the low 32 bits of an
-      integer register (the model's registers are architecturally 32-bit);
-      [corrupt_float_register] flips one bit of the IEEE-754 image of a
-      float register (which can produce inf/NaN, as on real hardware).
-      Driven by the platform fault injector between steps; a corrupted
-      register may change the execution path, trap (out-of-bounds access),
-      diverge ({!Runaway}), or silently corrupt the program's output. *)
-
-  val corrupt_int_register : t -> reg:int -> bit:int -> unit
-  val corrupt_float_register : t -> reg:int -> bit:int -> unit
-end
-
-(** {2 Pre-decoded execution}
-
-    The hot path of a measurement campaign.  {!Stepper} allocates one
-    {!Instr.retired} record per executed instruction and recomputes the
-    fetch address per step; the pre-decoded path decodes a program once
-    ({!Decoded.decode} — label targets, data bases and fetch addresses all
-    resolved to flat arrays), links it against a live memory image once per
-    {!Decoded.Runner}, and streams timing through a {!sink} of
-    per-work-class hooks with no per-instruction allocation.
-
-    The call sequence seen by the platform model — architectural effects,
-    then fetch, then at most one work event per instruction — is exactly
-    the [Stepper.step]-then-consume sequence of the retired path, so cycle
-    counts, stats and PRNG draw order are bit-identical ([test_hotpath]
-    pins this against the retired stepper, which stays as the oracle). *)
-
-(** Per-work-class timing hooks; see {!Decoded}.  [on_fetch] is called once
-    per executed instruction with its fetch address; work classes with zero
-    platform latency ([Int_alu], [No_op], not-taken branches) get no
-    further call. *)
+(** Per-work-class timing hooks.  [on_fetch] is called once per executed
+    instruction with its fetch address, before at most one work hook; work
+    classes with zero platform latency ([Int_alu], [No_op]) get no further
+    call.  Every control instruction (conditional branch, jump, call,
+    return) calls [on_branch] with whether it was taken. *)
 type sink = {
   on_fetch : int -> unit;
   on_int_mul : unit -> unit;
@@ -92,8 +39,11 @@ type sink = {
   on_write : int -> unit;  (** data write, byte address *)
   on_fp_short : Instr.fpu_op -> unit;
   on_fp_long : Instr.fpu_op -> float -> float -> unit;  (** op, operands *)
-  on_taken : unit -> unit;  (** taken-branch redirect *)
+  on_branch : bool -> unit;  (** control instruction: taken? *)
 }
+
+(** A sink that ignores every event: functional execution only. *)
+val null_sink : sink
 
 module Decoded : sig
   type t
@@ -113,13 +63,28 @@ module Decoded : sig
 
     val create : ?max_instructions:int -> decoded:decoded -> memory:Memory.t -> unit -> t
 
-    (** Restore registers, call stack, pc and counters to the initial
-        state; the memory image is the caller's to reset. *)
-    val reset : t -> unit
+    (** [reset ?entry ?init_regs t] restores registers, call stack, pc and
+        counters to the initial state; the memory image is the caller's to
+        reset.  [entry] (default: the program's entry label) selects where
+        execution starts; [init_regs] presets integer registers (e.g. a
+        task's activation index) before the first instruction.  Raises
+        [Invalid_argument] on an out-of-range register. *)
+    val reset : ?entry:string -> ?init_regs:(int * int) list -> t -> unit
 
-    (** [run t ~sink] executes from entry to completion.  Raises {!Runaway}
-        / {!Stack_overflow_} / [Invalid_argument] exactly as the retired
-        stepper does. *)
+    (** [step t ~sink] executes one instruction; a no-op once {!finished}.
+        Raises {!Runaway} when called on a running program that already
+        retired [max_instructions] instructions — the same instruction at
+        which {!run} raises. *)
+    val step : t -> sink:sink -> unit
+
+    (** [true] once the program executed [Halt], or [Ret] with an empty
+        call stack. *)
+    val finished : t -> bool
+
+    (** [run t ~sink] executes from the current pc to completion.  Raises
+        {!Runaway} past [max_instructions] (default [10_000_000]),
+        {!Stack_overflow_} past 256 nested calls, and [Invalid_argument] on
+        an out-of-bounds data access. *)
     val run : t -> sink:sink -> stats
 
     (** [run_supervised t ~sink ~post] additionally calls [post ()] after
@@ -128,27 +93,40 @@ module Decoded : sig
     val run_supervised : t -> sink:sink -> post:(unit -> unit) -> stats
 
     val stats : t -> stats
+
+    (** {2 SEU injection hooks}
+
+        [corrupt_int_register t ~reg ~bit] flips one of the low 32 bits of
+        an integer register (the model's registers are architecturally
+        32-bit); [corrupt_float_register] flips one bit of the IEEE-754
+        image of a float register (which can produce inf/NaN, as on real
+        hardware).  Driven by the platform fault injector between
+        instructions; a corrupted register may change the execution path,
+        trap (out-of-bounds access), diverge ({!Runaway}), or silently
+        corrupt the program's output. *)
+
     val corrupt_int_register : t -> reg:int -> bit:int -> unit
     val corrupt_float_register : t -> reg:int -> bit:int -> unit
   end
 end
 
-(** [run ?max_instructions ~program ~layout ~memory ~on_retire ()] executes
-    from the program's entry to [Halt] (or to [Ret] with an empty call
-    stack).  Default [max_instructions] is [10_000_000]. *)
+(** [run ?max_instructions ~program ~layout ~memory ~sink ()] decodes the
+    program, links it against [memory] and runs it from the entry label to
+    completion: a one-shot {!Decoded.Runner.run}. *)
 val run :
   ?max_instructions:int ->
   program:Program.t ->
   layout:Layout.t ->
   memory:Memory.t ->
-  on_retire:(Instr.retired -> unit) ->
+  sink:sink ->
   unit ->
   stats
 
-(** [path_signature ~program ~layout ~memory ()] executes without a consumer
-    and returns a hash of the taken/not-taken branch sequence: two runs with
-    the same signature followed the same execution path.  Used by the
-    per-path analysis of the MBPTA protocol. *)
+(** [path_signature ~program ~layout ~memory ()] executes without timing
+    and returns a hash of the taken/not-taken sequence of every control
+    instruction: two runs with the same signature followed the same
+    execution path.  Used by the per-path analysis of the MBPTA
+    protocol. *)
 val path_signature :
   ?max_instructions:int ->
   program:Program.t ->

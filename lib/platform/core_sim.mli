@@ -10,7 +10,7 @@
 type t
 
 exception Budget_exceeded of { cycles : int; budget : int }
-(** raised by {!run_program_faulty} when the watchdog cycle budget is
+(** raised by {!run_decoded_faulty} when the watchdog cycle budget is
     exceeded — the bounded-interference analogue of a flight computer's
     watchdog timer firing on a diverged task *)
 
@@ -33,52 +33,24 @@ val reset_run : t -> unit
     what lets a batch of runs amortize simulator construction. *)
 val reseed : t -> seed:int64 -> unit
 
-(** [consume t retired] — advance time for one retired instruction.
-    Exposed so schedulers can interleave instruction streams. *)
-val consume : t -> Repro_isa.Instr.retired -> unit
+(** [sink t] — the timing model as executor hooks: each event advances
+    [t]'s cycle count and cache/TLB/bus/DRAM state.  Exposed so a scheduler
+    can step several runners over one core
+    ({!Repro_isa.Executor.Decoded.Runner.step}). *)
+val sink : t -> Repro_isa.Executor.sink
 
 (** Add idle cycles (e.g. a scheduler's timer tick overhead). *)
 val advance : t -> int -> unit
 
 val cycles : t -> int
 
-(** [run_program t ~program ~layout ~memory] — [reset_run], execute to
-    completion, and return this run's metrics. *)
-val run_program :
-  t ->
-  program:Repro_isa.Program.t ->
-  layout:Repro_isa.Layout.t ->
-  memory:Repro_isa.Memory.t ->
-  Metrics.t
-
-(** [run_program_faulty t ?injector ?watchdog_budget ~program ~layout
-    ~memory ()] — like {!run_program} but steps the executor one instruction
-    at a time so that (a) the SEU [injector], when given, can strike cache
-    tags, TLB entries and executor registers between instructions, and
-    (b) the [watchdog_budget] (in cycles) is enforced, raising
-    {!Budget_exceeded} the moment it is crossed.  With no injector and no
-    budget the cycle count is identical to {!run_program} (same consume
-    sequence).  May also propagate {!Repro_isa.Executor.Runaway} or
-    [Invalid_argument] (out-of-bounds access) when an injected register
-    upset derails the program — the resilience supervisor upstream
-    classifies these. *)
-val run_program_faulty :
-  t ->
-  ?injector:Fault.t ->
-  ?watchdog_budget:int ->
-  program:Repro_isa.Program.t ->
-  layout:Repro_isa.Layout.t ->
-  memory:Repro_isa.Memory.t ->
-  unit ->
-  Metrics.t
-
-(** {2 Pre-decoded execution}
+(** {2 Running a program}
 
     The batched hot path: the caller decodes the program once
     ({!Repro_isa.Executor.Decoded}), links a runner against a reusable
     memory image, and per run calls {!reseed} (fresh platform seed) then
-    one of these.  Bit-identical to {!run_program} / {!run_program_faulty}
-    on a fresh simulator — [test_hotpath] pins it. *)
+    one of these.  [reseed] + [run_decoded] on a reused simulator is
+    bit-identical to a fresh simulator. *)
 
 (** [run_decoded t ~runner] — [reset_run], reset the runner, execute to
     completion through the per-work-class timing sink, return the run's
@@ -86,9 +58,16 @@ val run_program_faulty :
     image (e.g. {!Repro_isa.Memory.clear} + scenario load). *)
 val run_decoded : t -> runner:Repro_isa.Executor.Decoded.Runner.t -> Metrics.t
 
-(** Pre-decoded twin of {!run_program_faulty}: same supervision semantics
-    (injector strikes between instructions, watchdog raises
-    {!Budget_exceeded}), on the batched runner. *)
+(** [run_decoded_faulty t ?injector ?watchdog_budget ~runner ()] — like
+    {!run_decoded}, but supervised after every instruction: (a) the SEU
+    [injector], when given, can strike cache tags, TLB entries and runner
+    registers between instructions, and (b) the [watchdog_budget] (in
+    cycles) is enforced, raising {!Budget_exceeded} the moment it is
+    crossed.  With no injector and no budget the cycle count is identical
+    to {!run_decoded}.  May also propagate {!Repro_isa.Executor.Runaway}
+    or [Invalid_argument] (out-of-bounds access) when an injected register
+    upset derails the program — the resilience supervisor upstream
+    classifies these. *)
 val run_decoded_faulty :
   t ->
   ?injector:Fault.t ->
@@ -97,6 +76,15 @@ val run_decoded_faulty :
   unit ->
   Metrics.t
 
-(** Metrics accumulated since the last [reset_run] (for callers driving
-    [consume] directly). *)
+(** [run_program t ~program ~layout ~memory] — one-shot {!run_decoded}:
+    decode the program, link a runner against [memory], run it. *)
+val run_program :
+  t ->
+  program:Repro_isa.Program.t ->
+  layout:Repro_isa.Layout.t ->
+  memory:Repro_isa.Memory.t ->
+  Metrics.t
+
+(** Metrics accumulated since the last [reset_run] (for callers stepping
+    runners through {!sink} directly). *)
 val snapshot : t -> instructions:int -> fp_long_ops:int -> taken_branches:int -> Metrics.t

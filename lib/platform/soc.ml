@@ -20,6 +20,3 @@ let create ~config ~seed ~co_runners =
   { core0 = Core_sim.create ~contenders ~config ~seed () }
 
 let analyzed_core t = t.core0
-
-let run_program t ~program ~layout ~memory =
-  Core_sim.run_program t.core0 ~program ~layout ~memory

@@ -21,10 +21,3 @@ val create : config:Config.t -> seed:int64 -> co_runners:co_runner list -> t
 
 (** The analyzed core (core 0). *)
 val analyzed_core : t -> Core_sim.t
-
-val run_program :
-  t ->
-  program:Repro_isa.Program.t ->
-  layout:Repro_isa.Layout.t ->
-  memory:Repro_isa.Memory.t ->
-  Metrics.t

@@ -3,23 +3,25 @@ type stage =
   | Decode
   | Execute
   | Flush
+  | Scenario
   | Seed_derivation
   | Trace
   | Store
   | Analysis
 
 let stages =
-  [ Codegen; Decode; Execute; Flush; Seed_derivation; Trace; Store; Analysis ]
+  [ Codegen; Decode; Execute; Flush; Scenario; Seed_derivation; Trace; Store; Analysis ]
 
 let index = function
   | Codegen -> 0
   | Decode -> 1
   | Execute -> 2
   | Flush -> 3
-  | Seed_derivation -> 4
-  | Trace -> 5
-  | Store -> 6
-  | Analysis -> 7
+  | Scenario -> 4
+  | Seed_derivation -> 5
+  | Trace -> 6
+  | Store -> 7
+  | Analysis -> 8
 
 let n_stages = List.length stages
 
@@ -28,6 +30,7 @@ let stage_name = function
   | Decode -> "decode"
   | Execute -> "execute"
   | Flush -> "flush"
+  | Scenario -> "scenario"
   | Seed_derivation -> "seed_derivation"
   | Trace -> "trace"
   | Store -> "store"

@@ -1,9 +1,9 @@
 (** Stage-resolved micro-profiler for the campaign pipeline.
 
     Attributes wall time to the stages a run passes through — codegen,
-    decode, execute, flush, seed derivation, trace, store, analysis — so a
-    perf regression names the stage that caused it instead of hiding in a
-    campaign-level total.
+    decode, execute, flush, scenario, seed derivation, trace, store,
+    analysis — so a perf regression names the stage that caused it instead
+    of hiding in a campaign-level total.
 
     Design constraints, in order:
 
@@ -26,9 +26,10 @@
 type stage =
   | Codegen  (** TVCA program generation from scenario config *)
   | Decode  (** compiling a program into the pre-decoded executable form *)
-  | Execute  (** the simulator inner loop (decoded or stepper) *)
+  | Execute  (** the simulator inner loop *)
   | Flush  (** [Core_sim.reset_run]: cache/TLB/DRAM flush + stats reset *)
-  | Seed_derivation  (** per-run scenario/platform/fault seed expansion *)
+  | Scenario  (** per-run input generation: plant simulation and sensor noise *)
+  | Seed_derivation  (** per-run platform seed expansion *)
   | Trace  (** trace event construction and flushing *)
   | Store  (** sample-store lookup, append and checkpoint barriers *)
   | Analysis  (** the MBPTA statistical pipeline *)

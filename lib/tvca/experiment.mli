@@ -60,20 +60,11 @@ val schedule_seed : t -> run_index:int -> int64
     runner) is reused across consecutive runs, with the full per-run
     protocol — fresh derived seeds, platform reseed, flush, zeroed and
     reloaded memory — replayed for every run, so results are bit-identical
-    to the retired fresh-everything path ({!run_retired}). *)
+    to a fresh simulator and memory image per run. *)
 val run : t -> run_index:int -> Repro_platform.Metrics.t
 
 (** [measure t ~run_index] — execution time (cycles) only. *)
 val measure : t -> run_index:int -> float
-
-(** {2 Retired reference path}
-
-    The pre-batching implementation — fresh memory, fresh simulator,
-    per-step variant-match executor — kept as the bit-identity oracle for
-    tests and bench baselines. *)
-
-val run_retired : t -> run_index:int -> Repro_platform.Metrics.t
-val measure_retired : t -> run_index:int -> float
 
 (** {2 Randomized-schedule runs}
 
@@ -175,10 +166,6 @@ type fault_outcome =
     raises on fault-induced misbehavior — divergence, traps and corrupted
     output all come back classified. *)
 val run_faulty :
-  t -> fault:fault_config -> ?attempt:int -> run_index:int -> unit -> fault_outcome
-
-(** Retired oracle twin of {!run_faulty} (fresh state, per-step loop). *)
-val run_faulty_retired :
   t -> fault:fault_config -> ?attempt:int -> run_index:int -> unit -> fault_outcome
 
 val fault_records : fault_outcome -> Repro_platform.Fault.record list

@@ -27,7 +27,8 @@ type t = {
 (* Mutable per-task scheduling state. *)
 type task_state = {
   spec_ : task_spec;
-  mutable job : Isa.Executor.Stepper.t option;  (* in-flight activation *)
+  runner : Isa.Executor.Decoded.Runner.t;  (* linked once, reset per activation *)
+  mutable in_flight : bool;  (* released and not yet finished *)
   mutable released_at : int;  (* release time of the in-flight job *)
   mutable next_release : int;
   mutable activation : int;  (* index of the next activation to release *)
@@ -52,13 +53,16 @@ let run ?(context_switch = 40) ?(frames = Mission.default_frames) ~core ~program
       (* validate the entry label up front *)
       ignore (Isa.Program.label_index program s.entry))
     tasks;
+  let decoded = Isa.Executor.Decoded.decode ~program ~layout in
+  let sink = Platform.Core_sim.sink core in
   let states =
     tasks
     |> List.sort (fun (a : task_spec) b -> Int.compare a.priority b.priority)
     |> List.map (fun spec_ ->
            {
              spec_;
-             job = None;
+             runner = Isa.Executor.Decoded.Runner.create ~decoded ~memory ();
+             in_flight = false;
              released_at = 0;
              next_release = spec_.offset;
              activation = 0;
@@ -76,16 +80,15 @@ let run ?(context_switch = 40) ?(frames = Mission.default_frames) ~core ~program
     List.iter
       (fun st ->
         while st.next_release <= now () do
-          (match st.job with
-          | Some _ -> st.skipped <- st.skipped + 1
-          | None ->
-              st.job <-
-                Some
-                  (Isa.Executor.Stepper.create ~entry:st.spec_.entry
-                     ~init_regs:[ (10, st.activation mod frames) ]
-                     ~program ~layout ~memory ());
-              st.released_at <- st.next_release;
-              st.activation <- st.activation + 1);
+          if st.in_flight then st.skipped <- st.skipped + 1
+          else begin
+            Isa.Executor.Decoded.Runner.reset ~entry:st.spec_.entry
+              ~init_regs:[ (10, st.activation mod frames) ]
+              st.runner;
+            st.in_flight <- true;
+            st.released_at <- st.next_release;
+            st.activation <- st.activation + 1
+          end;
           st.next_release <- st.next_release + st.spec_.period
         done)
       states
@@ -96,7 +99,7 @@ let run ?(context_switch = 40) ?(frames = Mission.default_frames) ~core ~program
   in
   let rec highest_ready = function
     | [] -> None
-    | st :: rest -> ( match st.job with Some _ -> Some st | None -> highest_ready rest)
+    | st :: rest -> if st.in_flight then Some st else highest_ready rest
   in
   let continue = ref true in
   while !continue && now () < horizon do
@@ -114,21 +117,16 @@ let run ?(context_switch = 40) ?(frames = Mission.default_frames) ~core ~program
         | Some prev when prev != st ->
             (* the running job changed: charge the context switch, and if the
                displaced job is still in flight this was a preemption *)
-            if prev.job <> None then incr preemptions;
+            if prev.in_flight then incr preemptions;
             Platform.Core_sim.advance core context_switch
         | Some _ -> ()
         | None -> Platform.Core_sim.advance core context_switch);
         last_running := Some st;
-        (match st.job with
-        | None -> assert false
-        | Some stepper -> (
-            match Isa.Executor.Stepper.step stepper with
-            | Some retired -> Platform.Core_sim.consume core retired
-            | None -> assert false);
-            if Isa.Executor.Stepper.finished stepper then begin
-              st.responses <- float_of_int (now () - st.released_at) :: st.responses;
-              st.job <- None
-            end)
+        Isa.Executor.Decoded.Runner.step st.runner ~sink;
+        if Isa.Executor.Decoded.Runner.finished st.runner then begin
+          st.responses <- float_of_int (now () - st.released_at) :: st.responses;
+          st.in_flight <- false
+        end
   done;
   {
     per_task =

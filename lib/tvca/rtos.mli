@@ -42,9 +42,10 @@ type t = {
 (** [run ?context_switch ~core ~program ~layout ~memory ~tasks ~horizon ()]
     — simulates until the platform clock passes [horizon] cycles (jobs in
     flight at the horizon are abandoned).  Each activation [k] of a task
-    starts at its [entry] with register [r10] preset to
-    [k mod Mission.default_frames] (the frame index the generated code
-    expects).  [context_switch] cycles (default 40) are charged whenever
+    starts at its [entry] with register [r10] preset to [k mod frames]
+    (the frame index the generated code expects; [frames] defaults to
+    [Mission.default_frames]).  One runner per task is linked against
+    [memory] once and reset per activation.  [context_switch] cycles (default 40) are charged whenever
     the running job changes.  Raises [Invalid_argument] on duplicate
     priorities (the fixed-priority order must be total). *)
 val run :

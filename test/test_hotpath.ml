@@ -1,9 +1,15 @@
-(* The PR 7 hot path — pre-decoded execution, batched per-(domain,
-   experiment) scratches, O(1) seed skipping — against the retired
-   implementations it replaced.  The contract everywhere is bit identity:
-   not statistically close, the same bits, on every kernel, both platform
-   configs, with and without fault injection, and through whole campaigns
-   (trace files and store records byte-identical) at any job count. *)
+(* Golden digests of the instruction executor's observable outputs.  Every
+   literal below is the MD5 of a canonical text rendering of outputs on
+   fixed inputs: per-run metrics on every kernel and both platform configs,
+   batched experiment runs, fault-injected runs with their upset records,
+   whole campaigns (trace file and store record bytes at jobs 1 and 4),
+   RTOS schedules under each policy, fixed-input (leak) runs, execution-path
+   signatures and the functional check.  The literals were produced by the
+   per-instruction reference executor that preceded the pre-decoded runner,
+   and the runner reproduces them bit for bit; a mismatch means a sample, a
+   PRNG draw order or a scheduling decision changed.  On a mismatch the
+   rendered lines are printed to stderr so the first diverging line can be
+   found by diffing against the output of a known-good checkout. *)
 
 module P = Repro_platform
 module T = Repro_tvca
@@ -15,6 +21,11 @@ module Prng = Repro_rng.Prng
 let checkb what = Alcotest.(check bool) what
 let checks what = Alcotest.(check string) what
 
+let check_digest what expected lines =
+  let got = Digest.to_hex (Digest.string (String.concat "\n" lines)) in
+  if got <> expected then List.iter prerr_endline lines;
+  checks what expected got
+
 let pp_metrics (m : P.Metrics.t) =
   Printf.sprintf
     "c=%d i=%d il1=%d/%d dl1=%d/%d itlb=%d dtlb=%d bus=%d dram=%d/%d fp=%d tb=%d f=%d"
@@ -22,86 +33,94 @@ let pp_metrics (m : P.Metrics.t) =
     m.itlb_misses m.dtlb_misses m.bus_transactions m.dram_row_hits m.dram_row_misses
     m.fp_long_ops m.taken_branches m.faults_injected
 
-(* ------------------------------------------------------------------ *)
-(* Core_sim: run_decoded vs run_program on every workload kernel *)
+let platforms = [ ("DET", P.Config.deterministic); ("RAND", P.Config.mbpta_compliant) ]
 
-let test_decoded_kernels () =
-  List.iter
-    (fun (k : K.t) ->
-      List.iter
-        (fun (pname, config) ->
-          let layout = Isa.Layout.sequential k.K.program in
-          let retired =
+(* ------------------------------------------------------------------ *)
+(* Core_sim.run_decoded on every workload kernel *)
+
+let test_kernels_golden () =
+  let lines =
+    List.concat_map
+      (fun (k : K.t) ->
+        List.map
+          (fun (pname, config) ->
+            let layout = Isa.Layout.sequential k.K.program in
             let memory = Isa.Memory.create k.K.program in
             k.K.load_input memory (Prng.create 99L);
-            let core = P.Core_sim.create ~config ~seed:424242L () in
-            P.Core_sim.run_program core ~program:k.K.program ~layout ~memory
-          in
-          let decoded =
-            let memory = Isa.Memory.create k.K.program in
-            k.K.load_input memory (Prng.create 99L);
-            let d = Isa.Executor.Decoded.decode ~program:k.K.program ~layout in
-            let runner = Isa.Executor.Decoded.Runner.create ~decoded:d ~memory () in
+            let decoded = Isa.Executor.Decoded.decode ~program:k.K.program ~layout in
+            let runner = Isa.Executor.Decoded.Runner.create ~decoded ~memory () in
             let core = P.Core_sim.create ~config ~seed:424242L () in
             let m = P.Core_sim.run_decoded core ~runner in
             checkb
               (Printf.sprintf "%s %s functional check" k.K.name pname)
               true
               (match k.K.check memory with Ok () -> true | Error _ -> false);
-            m
-          in
-          checks
-            (Printf.sprintf "%s %s metrics" k.K.name pname)
-            (pp_metrics retired) (pp_metrics decoded))
-        [ ("DET", P.Config.deterministic); ("RAND", P.Config.mbpta_compliant) ])
-    (K.all ())
+            Printf.sprintf "%s %s %s" k.K.name pname (pp_metrics m))
+          platforms)
+      (K.all ())
+  in
+  check_digest "kernels x DET/RAND metrics" "161872bb3f39eda9795fcd5c3d8519a3" lines
 
 (* ------------------------------------------------------------------ *)
-(* Experiment: batched run/measure vs the retired fresh-everything path *)
+(* Experiment: batched runs *)
 
 let experiments () =
   ( T.Experiment.create ~frames:4 ~config:P.Config.deterministic ~base_seed:2017L (),
     T.Experiment.create ~frames:4 ~config:P.Config.mbpta_compliant ~base_seed:2017L () )
 
-let test_experiment_batched_vs_retired () =
+let test_experiment_golden () =
   let det, rand = experiments () in
+  let lines =
+    List.concat_map
+      (fun (pname, exp) ->
+        List.init 12 (fun i ->
+            let m = T.Experiment.run exp ~run_index:i in
+            checkb
+              (Printf.sprintf "%s measure %d" pname i)
+              true
+              (T.Experiment.measure exp ~run_index:i
+              = float_of_int (P.Metrics.cycles m));
+            Printf.sprintf "%s %d %s" pname i (pp_metrics m)))
+      [ ("DET", det); ("RAND", rand) ]
+  in
+  check_digest "runs 0-11 DET/RAND metrics" "4848afb4a7d45cbd14952cf7a34824f9" lines;
+  (* Interleaving other runs on the same batched scratch must not perturb
+     a run: the scratch replays the full per-run protocol. *)
   List.iter
     (fun (pname, exp) ->
-      for i = 0 to 11 do
-        checks
-          (Printf.sprintf "%s run %d metrics" pname i)
-          (pp_metrics (T.Experiment.run_retired exp ~run_index:i))
-          (pp_metrics (T.Experiment.run exp ~run_index:i));
-        checkb
-          (Printf.sprintf "%s measure %d" pname i)
-          true
-          (T.Experiment.measure exp ~run_index:i
-          = T.Experiment.measure_retired exp ~run_index:i)
-      done;
-      (* Interleaving retired and batched calls must not perturb either:
-         the batched scratch replays the full per-run protocol. *)
       let a = T.Experiment.measure exp ~run_index:3 in
-      let _ = T.Experiment.measure_retired exp ~run_index:5 in
+      let _ = T.Experiment.measure_fixed_scenario exp ~scenario_index:1 ~run_index:5 in
+      let _ = T.Experiment.measure exp ~run_index:7 in
       let b = T.Experiment.measure exp ~run_index:3 in
       checkb (Printf.sprintf "%s batched is stateless across calls" pname) true (a = b))
     [ ("DET", det); ("RAND", rand) ]
 
 (* ------------------------------------------------------------------ *)
-(* Fault injection: batched supervised runner vs the retired stepper *)
+(* Fault injection: the supervised runner *)
 
 let pp_outcome = Format.asprintf "%a" T.Experiment.pp_fault_outcome
 
-let test_faulty_batched_vs_retired () =
+let test_faulty_golden () =
   let _, rand = experiments () in
   let fault = T.Experiment.fault_config ~seu_rate:120.0 ~watchdog_budget:2_000_000 () in
-  for i = 0 to 7 do
-    for attempt = 0 to 1 do
-      checks
-        (Printf.sprintf "faulty run %d attempt %d" i attempt)
-        (pp_outcome (T.Experiment.run_faulty_retired rand ~fault ~attempt ~run_index:i ()))
-        (pp_outcome (T.Experiment.run_faulty rand ~fault ~attempt ~run_index:i ()))
-    done
-  done;
+  let lines =
+    List.concat
+      (List.init 8 (fun i ->
+           List.init 2 (fun attempt ->
+               let o = T.Experiment.run_faulty rand ~fault ~attempt ~run_index:i () in
+               let metrics =
+                 match o with
+                 | T.Experiment.Completed { metrics; _ } -> pp_metrics metrics
+                 | _ -> "-"
+               in
+               Printf.sprintf "%d %d %s %s [%s]" i attempt (pp_outcome o) metrics
+                 (String.concat "; "
+                    (List.map
+                       (Format.asprintf "%a" P.Fault.pp_record)
+                       (T.Experiment.fault_records o))))))
+  in
+  check_digest "faulty runs 0-7 x attempts 0-1, SEU 120"
+    "09e30df81ffbe8d336ae9b405935ccd4" lines;
   (* With injection off and no watchdog, the supervised path must be
      bit-identical to the plain batched run. *)
   let off = T.Experiment.fault_config () in
@@ -117,8 +136,7 @@ let test_faulty_batched_vs_retired () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Whole campaigns: batched vs retired measurement closures must leave
-   byte-identical trace files and store records, at jobs 1 and 4 *)
+(* Whole campaigns: trace files and store records at jobs 1 and 4 *)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -136,12 +154,9 @@ let rec rm_rf path =
 
 let campaign_runs = 140
 
-let campaign_artifacts ~jobs ~retired =
+let campaign_artifacts ~jobs =
   let det, rand = experiments () in
-  let measure exp i =
-    if retired then T.Experiment.measure_retired exp ~run_index:i
-    else T.Experiment.measure exp ~run_index:i
-  in
+  let measure exp i = T.Experiment.measure exp ~run_index:i in
   let input =
     {
       (M.Campaign.default_input ~measure_det:(measure det) ~measure_rand:(measure rand))
@@ -184,24 +199,71 @@ let campaign_artifacts ~jobs ~retired =
   in
   let samples =
     match result with
-    | Ok c -> (c.M.Campaign.det_sample, c.M.Campaign.rand_sample)
+    | Ok c ->
+        List.map
+          (fun xs -> String.concat " " (Array.to_list (Array.map (Printf.sprintf "%h") xs)))
+          [ c.M.Campaign.det_sample; c.M.Campaign.rand_sample ]
     | Error f -> Alcotest.failf "campaign failed: %a" M.Protocol.pp_failure f
   in
   (read_file trace_path, read_file (Filename.concat dir (key ^ ".jsonl")), samples)
 
 let test_campaign_byte_identity () =
-  let ref_trace, ref_record, ref_samples = campaign_artifacts ~jobs:1 ~retired:true in
   List.iter
-    (fun (what, jobs, retired) ->
-      let trace, record, samples = campaign_artifacts ~jobs ~retired in
-      checkb (what ^ ": samples") true (samples = ref_samples);
-      checks (what ^ ": trace file") ref_trace trace;
-      checks (what ^ ": store record") ref_record record)
-    [
-      ("batched jobs=1", 1, false);
-      ("batched jobs=4", 4, false);
-      ("retired jobs=4", 4, true);
-    ]
+    (fun jobs ->
+      let trace, record, samples = campaign_artifacts ~jobs in
+      let what = Printf.sprintf "jobs=%d" jobs in
+      check_digest (what ^ ": samples") "7d3190187aeedc48b964866c0c4a3306" samples;
+      check_digest (what ^ ": trace file") "cf23c0edc3d8eafed6560adfb10fa32e" [ trace ];
+      check_digest (what ^ ": store record") "a9d697425b29d312bebf274d7a28e787" [ record ])
+    [ 1; 4 ]
+
+(* ------------------------------------------------------------------ *)
+(* RTOS schedules, fixed-input runs, path signatures, functional check *)
+
+let test_schedules_golden () =
+  let _, rand = experiments () in
+  (* The CLI's shuffle defaults, then a period short enough that jobs
+     overrun (skipped releases) and preempt each other mid-activation. *)
+  let settings = [ (60_000, 2_000, 240_000); (3_000, 1_500, 60_000) ] in
+  let lines =
+    List.concat_map
+      (fun policy ->
+        List.concat_map
+          (fun (period, max_jitter, horizon) ->
+            List.init 4 (fun i ->
+                let r =
+                  T.Experiment.run_schedule rand ~policy ~period ~max_jitter ~horizon
+                    ~run_index:i ()
+                in
+                Printf.sprintf "%s %d %d %h p=%d s=%d %s" (T.Rtos.policy_name policy)
+                  period i r.T.Experiment.worst_response r.T.Experiment.preemptions
+                  r.T.Experiment.skipped_releases r.T.Experiment.signature))
+          settings)
+      T.Rtos.all_policies
+  in
+  check_digest "run_schedule per policy" "719226c1dd2027994dd9292ff348a7d8" lines
+
+let test_fixed_scenario_golden () =
+  let det, rand = experiments () in
+  let lines =
+    List.concat_map
+      (fun (pname, exp) ->
+        List.concat_map
+          (fun scenario_index ->
+            List.init 8 (fun i ->
+                Printf.sprintf "%s %d %d %h" pname scenario_index i
+                  (T.Experiment.measure_fixed_scenario exp ~scenario_index ~run_index:i)))
+          [ 0; 1 ])
+      [ ("DET", det); ("RAND", rand) ]
+  in
+  check_digest "measure_fixed_scenario DET/RAND" "74d1081976082848da5f5fe41150b4ae" lines
+
+let test_paths_golden () =
+  let _, rand = experiments () in
+  check_digest "path_signature runs 0-31" "157f7899665832e79e180538e917e6df"
+    (List.init 32 (fun i -> string_of_int (T.Experiment.path_signature rand ~run_index:i)));
+  check_digest "check_functional runs 0-3" "daa541ed364a6360581d748913ecd1c0"
+    (List.init 4 (fun i -> Printf.sprintf "%h" (T.Experiment.check_functional rand ~run_index:i)))
 
 (* ------------------------------------------------------------------ *)
 (* Instrumentation sanity: the decode cache and batch scratches are
@@ -214,6 +276,25 @@ let test_hotpath_counters () =
   let created, reused = T.Experiment.batch_stats () in
   checkb "scratches created" true (created > 0);
   checkb "runs reused a scratch" true (reused > created)
+
+(* Scenario generation and the platform-seed draw are separate profile
+   stages, each entered once per run. *)
+let test_profile_stages () =
+  let _, rand = experiments () in
+  let runs = 25 in
+  M.Profile.reset ();
+  M.Profile.set_enabled true;
+  let (_ : float array) =
+    Fun.protect
+      ~finally:(fun () -> M.Profile.set_enabled false)
+      (fun () -> T.Experiment.collect rand ~runs)
+  in
+  let calls stage =
+    (List.find (fun e -> e.M.Profile.stage = stage) (M.Profile.snapshot ())).M.Profile.calls
+  in
+  Alcotest.(check int) "scenario calls" runs (calls M.Profile.Scenario);
+  Alcotest.(check int) "seed_derivation calls" runs (calls M.Profile.Seed_derivation);
+  M.Profile.reset ()
 
 (* The decode cache is process-global in a long-lived daemon, so it must
    stay bounded: cycling more distinct configs than the cap may never
@@ -264,16 +345,20 @@ let () =
   Alcotest.run "hotpath"
     [
       ( "decoded",
-        [
-          Alcotest.test_case "kernels DET+RAND: decoded = retired" `Quick
-            test_decoded_kernels;
-        ] );
+        [ Alcotest.test_case "kernels DET+RAND: golden digests" `Quick test_kernels_golden ]
+      );
       ( "experiment",
         [
-          Alcotest.test_case "batched run/measure = retired" `Quick
-            test_experiment_batched_vs_retired;
-          Alcotest.test_case "faulty batched = retired (SEU>0)" `Quick
-            test_faulty_batched_vs_retired;
+          Alcotest.test_case "batched run/measure: golden digests" `Quick
+            test_experiment_golden;
+          Alcotest.test_case "faulty runs (SEU>0): golden digests" `Quick
+            test_faulty_golden;
+          Alcotest.test_case "schedules per policy: golden digests" `Quick
+            test_schedules_golden;
+          Alcotest.test_case "fixed-input runs: golden digests" `Quick
+            test_fixed_scenario_golden;
+          Alcotest.test_case "paths + functional: golden digests" `Quick
+            test_paths_golden;
         ] );
       ( "campaign",
         [
@@ -281,7 +366,11 @@ let () =
             test_campaign_byte_identity;
         ] );
       ( "counters",
-        [ Alcotest.test_case "decode cache + batch exercised" `Quick test_hotpath_counters ] );
+        [
+          Alcotest.test_case "decode cache + batch exercised" `Quick test_hotpath_counters;
+          Alcotest.test_case "profile: scenario + seed stages" `Quick
+            test_profile_stages;
+        ] );
       ( "lru",
         [
           Alcotest.test_case "decode cache bounded with LRU eviction" `Quick

@@ -1,6 +1,7 @@
 (* Tests for repro_isa: program validation, layout placement, memory,
    builder loops, executor semantics (arithmetic, control flow, calls,
-   loads/stores, work records), path signatures and runaway protection. *)
+   loads/stores, sink events, runner reset and stepping), path signatures and
+   runaway protection. *)
 
 module I = Repro_isa.Instr
 module Program = Repro_isa.Program
@@ -16,7 +17,7 @@ let qtest = QCheck_alcotest.to_alcotest
 
 let run_quiet ?max_instructions program memory =
   let layout = Layout.sequential program in
-  Executor.run ?max_instructions ~program ~layout ~memory ~on_retire:(fun _ -> ()) ()
+  Executor.run ?max_instructions ~program ~layout ~memory ~sink:Executor.null_sink ()
 
 (* ------------------------------------------------------------------ *)
 (* Program validation *)
@@ -338,16 +339,74 @@ let test_out_of_bounds_access () =
        false
      with Invalid_argument _ -> true)
 
+module Runner = Executor.Decoded.Runner
+
+let runner_of ?max_instructions p =
+  let decoded = Executor.Decoded.decode ~program:p ~layout:(Layout.sequential p) in
+  Runner.create ?max_instructions ~decoded ~memory:(Memory.create p) ()
+
+let step_to_end r =
+  while not (Runner.finished r) do
+    Runner.step r ~sink:Executor.null_sink
+  done;
+  Runner.stats r
+
 let test_runaway_guard () =
+  let b = Builder.create ~name:"spin" in
+  Builder.label b "main";
+  Builder.emit b (I.Jmp "main");
+  let spin = Builder.build b ~entry:"main" in
   checkb "infinite loop stopped" true
     (try
-       let b = Builder.create ~name:"spin" in
-       Builder.label b "main";
-       Builder.emit b (I.Jmp "main");
-       let p = Builder.build b ~entry:"main" in
-       ignore (run_quiet ~max_instructions:1000 p (Memory.create p));
+       ignore (run_quiet ~max_instructions:1000 spin (Memory.create spin));
        false
-     with Executor.Runaway _ -> true)
+     with Executor.Runaway _ -> true);
+  (* [run] checks the budget per block, [step] per instruction: both must
+     raise at the same instruction, with exactly [max_instructions]
+     retired, and a program that needs exactly the budget completes. *)
+  List.iter
+    (fun (what, drive) ->
+      let r = runner_of ~max_instructions:1000 spin in
+      match drive r with
+      | (_ : Executor.stats) -> Alcotest.failf "%s: infinite loop not stopped" what
+      | exception Executor.Runaway _ ->
+          checki (what ^ ": retired at the raise") 1000 (Runner.stats r).Executor.retired)
+    [ ("run", fun r -> Runner.run r ~sink:Executor.null_sink); ("step", step_to_end) ];
+  let exact = simple_program (List.init 999 (fun _ -> I.Nop) @ [ I.Halt ]) in
+  List.iter
+    (fun (what, drive) ->
+      checki (what ^ ": exact budget completes") 1000
+        (drive (runner_of ~max_instructions:1000 exact)).Executor.retired)
+    [ ("run", fun r -> Runner.run r ~sink:Executor.null_sink); ("step", step_to_end) ]
+
+let test_runner_reset_entry () =
+  let b = Builder.create ~name:"entry" in
+  Builder.declare_data b ~symbol:"d" ~elements:1;
+  Builder.label b "main";
+  Builder.emit b I.Halt;
+  Builder.label b "task";
+  Builder.emit b (I.Icvt (0, 10));
+  Builder.emit b (I.Fst (0, Builder.at "d"));
+  Builder.emit b I.Ret;
+  let p = Builder.build b ~entry:"main" in
+  let memory = Memory.create p in
+  let decoded = Executor.Decoded.decode ~program:p ~layout:(Layout.sequential p) in
+  let r = Runner.create ~decoded ~memory () in
+  Runner.reset ~entry:"task" ~init_regs:[ (10, 7) ] r;
+  ignore (Runner.run r ~sink:Executor.null_sink);
+  checkf "task ran from its entry with r10 preset" 7. (Memory.get memory "d" 0);
+  Runner.reset r;
+  checki "default entry" 1 (Runner.run r ~sink:Executor.null_sink).Executor.retired;
+  List.iter
+    (fun reg ->
+      checkb
+        (Printf.sprintf "init register %d refused" reg)
+        true
+        (try
+           Runner.reset ~init_regs:[ (reg, 0) ] r;
+           false
+         with Invalid_argument _ -> true))
+    [ -1; I.register_count ]
 
 let test_stack_overflow_guard () =
   checkb "unbounded recursion stopped" true
@@ -389,26 +448,50 @@ let test_stats_counters () =
   checkb "taken counted" true (stats.Executor.taken_branches >= 1)
 
 let test_retire_stream_matches () =
-  (* the retire stream reports the right work kinds in order *)
+  (* the sink sees one fetch per instruction, at its code address, then
+     the right work event, in order *)
   let b = Builder.create ~name:"stream" in
   Builder.declare_data b ~symbol:"d" ~elements:2;
   Builder.label b "main";
   Builder.emit b (I.Li (0, 1));
   Builder.emit b (I.Fld (1, Builder.at "d"));
   Builder.emit b (I.Fst (1, Builder.at ~offset:1 "d"));
+  Builder.emit b (I.Blt (0, 0, "end"));
+  Builder.emit b (I.Jmp "end");
+  Builder.label b "end";
   Builder.emit b I.Halt;
   let p = Builder.build b ~entry:"main" in
   let layout = Layout.sequential p in
-  let kinds = ref [] in
-  let on_retire (r : I.retired) = kinds := r.I.work :: !kinds in
-  ignore (Executor.run ~program:p ~layout ~memory:(Memory.create p) ~on_retire ());
-  match List.rev !kinds with
-  | [ I.Int_alu; I.Mem_read a; I.Mem_write b'; I.No_op ] ->
-      checki "read addr"
-        (Layout.data_address layout ~symbol:"d" ~element:0)
-        a;
-      checki "write addr" (Layout.data_address layout ~symbol:"d" ~element:1) b'
-  | _ -> Alcotest.fail "unexpected retire stream"
+  let events = ref [] in
+  let log fmt = Printf.ksprintf (fun e -> events := e :: !events) fmt in
+  let sink =
+    {
+      Executor.on_fetch = (fun a -> log "fetch %d" a);
+      on_int_mul = (fun () -> log "mul");
+      on_read = (fun a -> log "read %d" a);
+      on_write = (fun a -> log "write %d" a);
+      on_fp_short = (fun _ -> log "fp");
+      on_fp_long = (fun _ _ _ -> log "fp long");
+      on_branch = (fun taken -> log "branch %b" taken);
+    }
+  in
+  ignore (Executor.run ~program:p ~layout ~memory:(Memory.create p) ~sink ());
+  let fetch pc = Printf.sprintf "fetch %d" (Layout.code_address layout pc) in
+  Alcotest.(check (list string))
+    "event stream"
+    [
+      fetch 0;
+      fetch 1;
+      Printf.sprintf "read %d" (Layout.data_address layout ~symbol:"d" ~element:0);
+      fetch 2;
+      Printf.sprintf "write %d" (Layout.data_address layout ~symbol:"d" ~element:1);
+      fetch 3;
+      "branch false";
+      fetch 4;
+      "branch true";
+      fetch 5;
+    ]
+    (List.rev !events)
 
 let test_layout_independence_of_semantics =
   (* results do not depend on the layout, only timing would *)
@@ -426,7 +509,7 @@ let test_layout_independence_of_semantics =
          let p = Builder.build b ~entry:"main" in
          let run layout =
            let m = Memory.create p in
-           ignore (Executor.run ~program:p ~layout ~memory:m ~on_retire:(fun _ -> ()) ());
+           ignore (Executor.run ~program:p ~layout ~memory:m ~sink:Executor.null_sink ());
            Memory.get m "d" 0
          in
          run (Layout.sequential p) = run (Layout.scrambled ~seed p)))
@@ -555,7 +638,7 @@ let test_differential_straight_line =
            (Executor.run ~program
               ~layout:(Layout.sequential program)
               ~memory
-              ~on_retire:(fun _ -> ())
+              ~sink:Executor.null_sink
               ());
          let got = Memory.read_array memory "data" in
          let want = Hashtbl.find expected "data" in
@@ -608,6 +691,7 @@ let () =
           Alcotest.test_case "indexed addressing" `Quick test_indexed_addressing;
           Alcotest.test_case "out of bounds" `Quick test_out_of_bounds_access;
           Alcotest.test_case "runaway guard" `Quick test_runaway_guard;
+          Alcotest.test_case "runner reset entry/registers" `Quick test_runner_reset_entry;
           Alcotest.test_case "stack overflow guard" `Quick test_stack_overflow_guard;
           Alcotest.test_case "ret at top level" `Quick test_ret_at_top_level_halts;
           Alcotest.test_case "stats counters" `Quick test_stats_counters;

@@ -496,6 +496,43 @@ let test_reset_run_clears_state () =
   let m2 = P.Core_sim.run_program core ~program:p ~layout ~memory:(Memory.create p) in
   checki "flush between runs restores timing" (P.Metrics.cycles m1) (P.Metrics.cycles m2)
 
+(* A runner stepped one instruction at a time through [Core_sim.sink] (as
+   the RTOS scheduler drives it) must leave the same executor stats and
+   platform metrics as one [run] to completion. *)
+let test_step_equals_run () =
+  let module Executor = Repro_isa.Executor in
+  let module Runner = Executor.Decoded.Runner in
+  let p = toy_program () in
+  let decoded = Executor.Decoded.decode ~program:p ~layout:(Layout.sequential p) in
+  List.iter
+    (fun (name, config) ->
+      let execute drive =
+        let runner = Runner.create ~decoded ~memory:(Memory.create p) () in
+        let core = P.Core_sim.create ~config ~seed:11L () in
+        P.Core_sim.reset_run core;
+        let stats = drive runner (P.Core_sim.sink core) in
+        ( stats,
+          P.Core_sim.snapshot core ~instructions:stats.Executor.retired
+            ~fp_long_ops:stats.Executor.fp_long_ops
+            ~taken_branches:stats.Executor.taken_branches )
+      in
+      let run_stats, run_metrics = execute (fun r sink -> Runner.run r ~sink) in
+      let step_stats, step_metrics =
+        execute (fun r sink ->
+            while not (Runner.finished r) do
+              Runner.step r ~sink
+            done;
+            Runner.stats r)
+      in
+      checkb (name ^ ": step stats = run stats") true (step_stats = run_stats);
+      checkb (name ^ ": step metrics = run metrics") true (step_metrics = run_metrics);
+      let core = P.Core_sim.create ~config ~seed:11L () in
+      checkb (name ^ ": run metrics = run_program") true
+        (run_metrics
+        = P.Core_sim.run_program core ~program:p ~layout:(Layout.sequential p)
+            ~memory:(Memory.create p)))
+    [ ("DET", P.Config.deterministic); ("RAND", P.Config.mbpta_compliant) ]
+
 let test_advance () =
   let core = P.Core_sim.create ~config:P.Config.deterministic ~seed:1L () in
   P.Core_sim.reset_run core;
@@ -510,7 +547,9 @@ let test_soc_contention_slows () =
   let layout = Layout.sequential p in
   let run co_runners =
     let soc = P.Soc.create ~config:P.Config.mbpta_compliant ~seed:3L ~co_runners in
-    P.Metrics.cycles (P.Soc.run_program soc ~program:p ~layout ~memory:(Memory.create p))
+    P.Metrics.cycles
+      (P.Core_sim.run_program (P.Soc.analyzed_core soc) ~program:p ~layout
+         ~memory:(Memory.create p))
   in
   let alone = run [] in
   let idle = run [ P.Soc.Idle; P.Soc.Idle; P.Soc.Idle ] in
@@ -594,6 +633,7 @@ let () =
           Alcotest.test_case "DET layout-sensitive" `Quick test_det_sensitive_to_layout;
           Alcotest.test_case "metrics accounting" `Quick test_metrics_accounting;
           Alcotest.test_case "reset_run clears state" `Quick test_reset_run_clears_state;
+          Alcotest.test_case "step = run" `Quick test_step_equals_run;
           Alcotest.test_case "advance" `Quick test_advance;
         ] );
       ( "soc",

@@ -184,7 +184,7 @@ let test_variants_run () =
         Repro_isa.Executor.run ~program:p
           ~layout:(Repro_isa.Layout.sequential p)
           ~memory:m
-          ~on_retire:(fun _ -> ())
+          ~sink:Repro_isa.Executor.null_sink
           ()
       in
       checkb "variant executes" true (stats.Repro_isa.Executor.retired > 10))

@@ -18,7 +18,7 @@ let execute kernel seed =
   let layout = Isa.Layout.sequential kernel.K.program in
   let (_ : Isa.Executor.stats) =
     Isa.Executor.run ~program:kernel.K.program ~layout ~memory
-      ~on_retire:(fun _ -> ())
+      ~sink:Isa.Executor.null_sink
       ()
   in
   (kernel, memory)
