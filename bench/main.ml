@@ -477,9 +477,8 @@ type perf_results = {
   decode_cache_misses : int;
   batch_scratches_created : int;
   batch_reuses : int;
-  cache_access_ns_det : float;
-  cache_access_ns_rand : float;
-  tlb_access_ns : float;
+  fetch_stream_ns : float;
+  data_stream_ns : float;
   samples_identical_across_jobs : bool;
   trace_overhead_pct : float;  (* median over the measured pairs *)
   trace_overhead_spread_pct : float;  (* max - min over the pairs *)
@@ -506,33 +505,65 @@ let time_best ~reps f =
   done;
   (v, !best)
 
-(* Direct hot-path probe: hammer one structure with a strided read/write
-   mix large enough to live beyond the cold-start transient. *)
-let cache_access_ns ~placement ~replacement =
-  let config = { P.Config.geometry = P.Config.leon3_geometry; placement; replacement } in
-  let c = P.Cache.create ~config ~prng:(Repro_rng.Prng.create 7L) in
-  let n = 2_000_000 in
-  let (), dt =
-    time_it (fun () ->
-        for i = 0 to n - 1 do
-          ignore (P.Cache.access c ~addr:(i * 37 land 0xFFFFF) ~write:(i land 7 = 0))
-        done)
+(* Address streams of one TVCA DET run (run 0), recorded through a sink
+   that sees every fetch: instruction fetch addresses, and data addresses
+   tagged with their direction (bit 0 set for a write). *)
+let tvca_address_streams () =
+  let program = T.Experiment.program det_experiment in
+  let layout = T.Experiment.layout det_experiment in
+  let memory = Isa.Memory.create program in
+  T.Mission.load_memory
+    (T.Mission.generate ~seed:(T.Experiment.scenario_seed det_experiment ~run_index:0) ())
+    memory;
+  let fetches = ref [] and data = ref [] in
+  let sink =
+    {
+      Isa.Executor.null_sink with
+      Isa.Executor.on_fetch = (fun a -> fetches := a :: !fetches);
+      on_read = (fun a -> data := (a lsl 1) :: !data);
+      on_write = (fun a -> data := ((a lsl 1) lor 1) :: !data);
+    }
   in
-  dt *. 1e9 /. float_of_int n
+  let (_ : Isa.Executor.stats) = Isa.Executor.run ~program ~layout ~memory ~sink () in
+  (Array.of_list (List.rev !fetches), Array.of_list (List.rev !data))
 
-let tlb_access_ns () =
-  let t =
-    P.Tlb.create ~entries:64 ~page_bytes:4096 ~replacement:P.Config.Random_replacement
-      ~prng:(Repro_rng.Prng.create 11L)
-  in
-  let n = 2_000_000 in
+(* Replay a recorded stream through a DET TLB + L1 pair, flushed before
+   each pass, until at least 2M accesses; ns per access (TLB and L1 lookup
+   together). *)
+let replay_ns stream ~tlb ~l1 ~access =
+  let passes = 1 + (2_000_000 / Array.length stream) in
   let (), dt =
     time_it (fun () ->
-        for i = 0 to n - 1 do
-          ignore (P.Tlb.access t ~addr:(i * 4099 land 0xFFFFFF))
+        for _ = 1 to passes do
+          P.Tlb.reset_run tlb;
+          P.Cache.reset_run l1;
+          Array.iter access stream
         done)
   in
-  dt *. 1e9 /. float_of_int n
+  dt *. 1e9 /. float_of_int (passes * Array.length stream)
+
+let stream_access_ns () =
+  let config = P.Config.deterministic in
+  let tlb entries =
+    P.Tlb.create ~entries ~page_bytes:config.P.Config.page_bytes
+      ~replacement:config.P.Config.tlb_replacement ~prng:(Repro_rng.Prng.create 11L)
+  in
+  let cache c = P.Cache.create ~config:c ~prng:(Repro_rng.Prng.create 7L) in
+  let fetches, data = tvca_address_streams () in
+  let itlb = tlb config.P.Config.itlb_entries and il1 = cache config.P.Config.il1 in
+  let fetch_ns =
+    replay_ns fetches ~tlb:itlb ~l1:il1 ~access:(fun addr ->
+        ignore (P.Tlb.access itlb ~addr);
+        ignore (P.Cache.access il1 ~addr ~write:false))
+  in
+  let dtlb = tlb config.P.Config.dtlb_entries and dl1 = cache config.P.Config.dl1 in
+  let data_ns =
+    replay_ns data ~tlb:dtlb ~l1:dl1 ~access:(fun tagged ->
+        let addr = tagged lsr 1 in
+        ignore (P.Tlb.access dtlb ~addr);
+        ignore (P.Cache.access dl1 ~addr ~write:(tagged land 1 = 1)))
+  in
+  (fetch_ns, data_ns)
 
 (* Cost of observability: full campaigns (gates off, sequential) with and
    without a Runs-level trace attached, measured as interleaved pairs so
@@ -660,18 +691,13 @@ let p1_parallel_perf () =
   Format.printf
     "decode cache: %d hits / %d misses; batch scratches: %d created, %d runs reused one@."
     decode_cache_hits decode_cache_misses batch_scratches_created batch_reuses;
-  (* Hot-path latency: one cache/TLB access. *)
-  let cache_access_ns_det =
-    cache_access_ns ~placement:P.Config.Modulo ~replacement:P.Config.Lru
-  in
-  let cache_access_ns_rand =
-    cache_access_ns ~placement:P.Config.Random_modulo
-      ~replacement:P.Config.Random_replacement
-  in
-  let tlb_ns = tlb_access_ns () in
+  (* Hot-path latency: one TLB + L1 access, replaying a TVCA run's own
+     fetch and data streams. *)
+  let fetch_stream_ns, data_stream_ns = stream_access_ns () in
   Format.printf
-    "per access: cache DET(modulo+LRU) %.1f ns, cache RAND(rm+random) %.1f ns, TLB %.1f ns@."
-    cache_access_ns_det cache_access_ns_rand tlb_ns;
+    "per access (TVCA DET run 0 replayed, TLB + L1): fetch stream %.1f ns, data stream \
+     %.1f ns@."
+    fetch_stream_ns data_stream_ns;
   let ( trace_overhead_pct,
         trace_overhead_spread_pct,
         trace_overhead_pairs,
@@ -689,9 +715,8 @@ let p1_parallel_perf () =
     decode_cache_misses;
     batch_scratches_created;
     batch_reuses;
-    cache_access_ns_det;
-    cache_access_ns_rand;
-    tlb_access_ns = tlb_ns;
+    fetch_stream_ns;
+    data_stream_ns;
     samples_identical_across_jobs = true;
     trace_overhead_pct;
     trace_overhead_spread_pct;
@@ -1576,8 +1601,8 @@ let json_of_perf r s a d sl io =
     "  \"hotpath\": {\"decode_cache_hits\": %d, \"decode_cache_misses\": %d, \
      \"batch_scratches_created\": %d, \"batch_reuses\": %d},\n"
     r.decode_cache_hits r.decode_cache_misses r.batch_scratches_created r.batch_reuses;
-  add "  \"per_access_ns\": {\"cache_det\": %.2f, \"cache_rand\": %.2f, \"tlb\": %.2f},\n"
-    r.cache_access_ns_det r.cache_access_ns_rand r.tlb_access_ns;
+  add "  \"per_access_ns\": {\"fetch_stream\": %.2f, \"data_stream\": %.2f},\n"
+    r.fetch_stream_ns r.data_stream_ns;
   add
     "  \"trace\": {\"overhead_pct\": %.2f, \"overhead_spread_pct\": %.2f, \
      \"overhead_pairs\": %d, \"events\": %d, \"traced_samples_identical\": %b},\n"

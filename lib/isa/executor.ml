@@ -5,7 +5,9 @@ type stats = {
   retired : int;
   loads : int;
   stores : int;
+  fp_short_ops : int;
   fp_long_ops : int;
+  int_muls : int;
   branches : int;
   taken_branches : int;
 }
@@ -98,30 +100,35 @@ let element_index (a : raddr) regs =
          (Array.length a.values));
   idx
 
-(* Timing consumer for the runner: [on_fetch] first for every instruction
-   (base cycle + instruction fetch), then at most one work hook.  Work
-   classes that add no latency in the platform model ([Int_alu], [No_op])
-   get no hook call at all; every control instruction reports whether it
-   was taken through [on_branch]. *)
+(* Timing consumer for the runner.  Only events whose latency depends on
+   platform state reach a hook: a fetch that leaves the line of the core's
+   previous fetch ([on_fetch]), data reads and writes, and long FP ops.  A
+   fetch on the previous line only bumps [fetch_line.repeats], and the
+   fixed-latency work (the base cycle of every instruction, short FP,
+   integer multiply, taken-branch penalty) is charged in bulk through
+   [on_retire] from the runner's counters.  [fetch_line] belongs to the
+   core, not the runner: runners taking turns on one core share it. *)
+type fetch_line = { line_shift : int; mutable line : int; mutable repeats : int }
+
 type sink = {
+  fetch_line : fetch_line;
   on_fetch : int -> unit;
-  on_int_mul : unit -> unit;
   on_read : int -> unit;
   on_write : int -> unit;
-  on_fp_short : Instr.fpu_op -> unit;
   on_fp_long : Instr.fpu_op -> float -> float -> unit;
-  on_branch : bool -> unit;
+  on_retire : instructions:int -> fp_short:int -> int_mul:int -> taken:int -> unit;
 }
 
+(* [line] stays -1 because [on_fetch] never sets it, so this shared record
+   is never written. *)
 let null_sink =
   {
+    fetch_line = { line_shift = 0; line = -1; repeats = 0 };
     on_fetch = (fun _ -> ());
-    on_int_mul = (fun () -> ());
     on_read = (fun _ -> ());
     on_write = (fun _ -> ());
-    on_fp_short = (fun _ -> ());
     on_fp_long = (fun _ _ _ -> ());
-    on_branch = (fun _ -> ());
+    on_retire = (fun ~instructions:_ ~fp_short:_ ~int_mul:_ ~taken:_ -> ());
   }
 
 module Decoded = struct
@@ -169,9 +176,16 @@ module Decoded = struct
       mutable retired : int;
       mutable loads : int;
       mutable stores : int;
+      mutable fp_short : int;
       mutable fp_long : int;
+      mutable int_mul : int;
       mutable branches : int;
       mutable taken : int;
+      (* the counters' values at the last [on_retire] charge *)
+      mutable charged_retired : int;
+      mutable charged_fp_short : int;
+      mutable charged_int_mul : int;
+      mutable charged_taken : int;
     }
 
     let create ?(max_instructions = 10_000_000) ~(decoded : decoded) ~memory () =
@@ -191,9 +205,15 @@ module Decoded = struct
         retired = 0;
         loads = 0;
         stores = 0;
+        fp_short = 0;
         fp_long = 0;
+        int_mul = 0;
         branches = 0;
         taken = 0;
+        charged_retired = 0;
+        charged_fp_short = 0;
+        charged_int_mul = 0;
+        charged_taken = 0;
       }
 
     (* Restore the architectural state [create] built, so one linked runner
@@ -216,9 +236,15 @@ module Decoded = struct
       t.retired <- 0;
       t.loads <- 0;
       t.stores <- 0;
+      t.fp_short <- 0;
       t.fp_long <- 0;
+      t.int_mul <- 0;
       t.branches <- 0;
-      t.taken <- 0
+      t.taken <- 0;
+      t.charged_retired <- 0;
+      t.charged_fp_short <- 0;
+      t.charged_int_mul <- 0;
+      t.charged_taken <- 0
 
     let finished t = not t.running
 
@@ -242,131 +268,135 @@ module Decoded = struct
         retired = t.retired;
         loads = t.loads;
         stores = t.stores;
+        fp_short_ops = t.fp_short;
         fp_long_ops = t.fp_long;
+        int_muls = t.int_mul;
         branches = t.branches;
         taken_branches = t.taken;
       }
 
-    let[@inline] branch t (sink : sink) fetch cond target =
+    (* Retire the instruction at [pc] and fetch it: a fetch on the line of
+       the core's previous fetch is only counted. *)
+    let[@inline] fetch t (sink : sink) pc =
+      t.retired <- t.retired + 1;
+      let addr = t.fetch_addrs.(pc) in
+      let fl = sink.fetch_line in
+      if addr lsr fl.line_shift = fl.line then fl.repeats <- fl.repeats + 1
+      else sink.on_fetch addr
+
+    let[@inline] fp_short t sink pc =
+      t.fp_short <- t.fp_short + 1;
+      t.pc <- pc + 1;
+      fetch t sink pc
+
+    let[@inline] branch t (sink : sink) pc cond target =
       t.branches <- t.branches + 1;
       if cond then begin
         t.taken <- t.taken + 1;
         t.pc <- target
       end
-      else t.pc <- t.pc + 1;
-      sink.on_fetch fetch;
-      sink.on_branch cond
+      else t.pc <- pc + 1;
+      fetch t sink pc
 
     (* One instruction: architectural effects first (including any
-       out-of-bounds raise), then the timing hooks, so the sequence of
-       stateful platform accesses (and hence every PRNG draw) is the same
-       even for runs that crash mid-instruction. *)
+       out-of-bounds raise), then the fetch and the work event, so the
+       sequence of stateful platform accesses (and hence every PRNG draw)
+       is the same even for runs that crash mid-instruction.  An
+       instruction that raises is neither retired nor charged. *)
     let[@inline] exec_one t (sink : sink) =
       let pc = t.pc in
       let op = t.code.(pc) in
-      let fetch = t.fetch_addrs.(pc) in
-      t.retired <- t.retired + 1;
       let next = pc + 1 in
       let regs = t.regs and fregs = t.fregs in
       match op with
       | RLi (rd, v) ->
           regs.(rd) <- v;
           t.pc <- next;
-          sink.on_fetch fetch
+          fetch t sink pc
       | RAdd (rd, r1, r2) ->
           regs.(rd) <- regs.(r1) + regs.(r2);
           t.pc <- next;
-          sink.on_fetch fetch
+          fetch t sink pc
       | RAddi (rd, r1, v) ->
           regs.(rd) <- regs.(r1) + v;
           t.pc <- next;
-          sink.on_fetch fetch
+          fetch t sink pc
       | RSub (rd, r1, r2) ->
           regs.(rd) <- regs.(r1) - regs.(r2);
           t.pc <- next;
-          sink.on_fetch fetch
+          fetch t sink pc
       | RMul (rd, r1, r2) ->
           regs.(rd) <- regs.(r1) * regs.(r2);
+          t.int_mul <- t.int_mul + 1;
           t.pc <- next;
-          sink.on_fetch fetch;
-          sink.on_int_mul ()
+          fetch t sink pc
       | RFli (fd, v) ->
           fregs.(fd) <- v;
           t.pc <- next;
-          sink.on_fetch fetch
+          fetch t sink pc
       | RFld (fd, a) ->
           let idx = element_index a regs in
           fregs.(fd) <- a.values.(idx);
           t.loads <- t.loads + 1;
           t.pc <- next;
-          sink.on_fetch fetch;
+          fetch t sink pc;
           sink.on_read (a.byte_base + (idx * Layout.element_bytes))
       | RFst (fs, a) ->
           let idx = element_index a regs in
           a.values.(idx) <- fregs.(fs);
           t.stores <- t.stores + 1;
           t.pc <- next;
-          sink.on_fetch fetch;
+          fetch t sink pc;
           sink.on_write (a.byte_base + (idx * Layout.element_bytes))
       | RFadd (fd, f1, f2) ->
           fregs.(fd) <- fregs.(f1) +. fregs.(f2);
-          t.pc <- next;
-          sink.on_fetch fetch;
-          sink.on_fp_short Instr.Fadd_op
+          fp_short t sink pc
       | RFsub (fd, f1, f2) ->
           fregs.(fd) <- fregs.(f1) -. fregs.(f2);
-          t.pc <- next;
-          sink.on_fetch fetch;
-          sink.on_fp_short Instr.Fadd_op
+          fp_short t sink pc
       | RFmul (fd, f1, f2) ->
           fregs.(fd) <- fregs.(f1) *. fregs.(f2);
-          t.pc <- next;
-          sink.on_fetch fetch;
-          sink.on_fp_short Instr.Fmul_op
+          fp_short t sink pc
       | RFdiv (fd, f1, f2) ->
           let x = fregs.(f1) and y = fregs.(f2) in
           fregs.(fd) <- x /. y;
           t.fp_long <- t.fp_long + 1;
           t.pc <- next;
-          sink.on_fetch fetch;
+          fetch t sink pc;
           sink.on_fp_long Instr.Fdiv_op x y
       | RFsqrt (fd, f1) ->
           let x = fregs.(f1) in
           fregs.(fd) <- sqrt x;
           t.fp_long <- t.fp_long + 1;
           t.pc <- next;
-          sink.on_fetch fetch;
+          fetch t sink pc;
           sink.on_fp_long Instr.Fsqrt_op x 0.
       | RFabs (fd, f1) ->
           fregs.(fd) <- Float.abs fregs.(f1);
-          t.pc <- next;
-          sink.on_fetch fetch;
-          sink.on_fp_short Instr.Fadd_op
+          fp_short t sink pc
       | RFmov (fd, f1) ->
           fregs.(fd) <- fregs.(f1);
-          t.pc <- next;
-          sink.on_fetch fetch;
-          sink.on_fp_short Instr.Fadd_op
+          fp_short t sink pc
       | RFcvt (rd, f1) ->
           regs.(rd) <- int_of_float fregs.(f1);
           t.pc <- next;
-          sink.on_fetch fetch
+          fetch t sink pc
       | RIcvt (fd, r1) ->
           fregs.(fd) <- float_of_int regs.(r1);
           t.pc <- next;
-          sink.on_fetch fetch
-      | RBlt (r1, r2, l) -> branch t sink fetch (regs.(r1) < regs.(r2)) l
-      | RBge (r1, r2, l) -> branch t sink fetch (regs.(r1) >= regs.(r2)) l
-      | RBeq (r1, r2, l) -> branch t sink fetch (regs.(r1) = regs.(r2)) l
-      | RBne (r1, r2, l) -> branch t sink fetch (regs.(r1) <> regs.(r2)) l
-      | RFblt (f1, f2, l) -> branch t sink fetch (fregs.(f1) < fregs.(f2)) l
-      | RFbge (f1, f2, l) -> branch t sink fetch (fregs.(f1) >= fregs.(f2)) l
-      | RJmp l -> branch t sink fetch true l
+          fetch t sink pc
+      | RBlt (r1, r2, l) -> branch t sink pc (regs.(r1) < regs.(r2)) l
+      | RBge (r1, r2, l) -> branch t sink pc (regs.(r1) >= regs.(r2)) l
+      | RBeq (r1, r2, l) -> branch t sink pc (regs.(r1) = regs.(r2)) l
+      | RBne (r1, r2, l) -> branch t sink pc (regs.(r1) <> regs.(r2)) l
+      | RFblt (f1, f2, l) -> branch t sink pc (fregs.(f1) < fregs.(f2)) l
+      | RFbge (f1, f2, l) -> branch t sink pc (fregs.(f1) >= fregs.(f2)) l
+      | RJmp l -> branch t sink pc true l
       | RCall l ->
           if t.sp >= max_call_depth then raise (Stack_overflow_ t.name);
           t.call_stack.(t.sp) <- next;
           t.sp <- t.sp + 1;
-          branch t sink fetch true l
+          branch t sink pc true l
       | RRet ->
           t.branches <- t.branches + 1;
           t.taken <- t.taken + 1;
@@ -375,19 +405,32 @@ module Decoded = struct
              t.sp <- t.sp - 1;
              t.pc <- t.call_stack.(t.sp)
            end);
-          sink.on_fetch fetch;
-          sink.on_branch true
+          fetch t sink pc
       | RNop ->
           t.pc <- next;
-          sink.on_fetch fetch
+          fetch t sink pc
       | RHalt ->
           t.running <- false;
-          sink.on_fetch fetch
+          fetch t sink pc
+
+    (* Hand the fixed-latency work retired since the last charge to the
+       sink.  The marks move first: [on_retire] may raise (a watchdog). *)
+    let charge t (sink : sink) =
+      let instructions = t.retired - t.charged_retired
+      and fp_short = t.fp_short - t.charged_fp_short
+      and int_mul = t.int_mul - t.charged_int_mul
+      and taken = t.taken - t.charged_taken in
+      t.charged_retired <- t.retired;
+      t.charged_fp_short <- t.fp_short;
+      t.charged_int_mul <- t.int_mul;
+      t.charged_taken <- t.taken;
+      sink.on_retire ~instructions ~fp_short ~int_mul ~taken
 
     let step t ~sink =
       if t.running then begin
         if t.retired >= t.max_instructions then raise (Runaway t.name);
-        exec_one t sink
+        exec_one t sink;
+        charge t sink
       end
 
     (* The Runaway bound moves out of the inner loop: execute in blocks of
@@ -398,27 +441,34 @@ module Decoded = struct
     let block = 4096
 
     let run t ~sink =
-      while t.running do
-        let budget = t.max_instructions - t.retired in
-        if budget <= 0 then raise (Runaway t.name);
-        let n = ref (if budget < block then budget else block) in
-        while t.running && !n > 0 do
-          exec_one t sink;
-          decr n
-        done
-      done;
+      (match
+         while t.running do
+           let budget = t.max_instructions - t.retired in
+           if budget <= 0 then raise (Runaway t.name);
+           let n = ref (if budget < block then budget else block) in
+           while t.running && !n > 0 do
+             exec_one t sink;
+             decr n
+           done
+         done
+       with
+      | () -> charge t sink
+      | exception e ->
+          charge t sink;
+          raise e);
       stats t
 
-    (* Supervised variant for fault-injected runs: [post] fires after every
-       retired instruction (watchdog, SEU injection). *)
-    let run_supervised t ~sink ~post =
+    (* Supervised variant for fault-injected runs: every instruction is
+       charged on its own, so [on_retire] sees the exact state after each
+       one (watchdog, SEU injection). *)
+    let run_supervised t ~sink =
       while t.running do
         let budget = t.max_instructions - t.retired in
         if budget <= 0 then raise (Runaway t.name);
         let n = ref (if budget < block then budget else block) in
         while t.running && !n > 0 do
           exec_one t sink;
-          post ();
+          charge t sink;
           decr n
         done
       done;
@@ -430,14 +480,16 @@ let run ?max_instructions ~program ~layout ~memory ~sink () =
   let decoded = Decoded.decode ~program ~layout in
   Decoded.Runner.run (Decoded.Runner.create ?max_instructions ~decoded ~memory ()) ~sink
 
+(* Steps with the null sink and folds, FNV-style, the taken/not-taken
+   outcome of every instruction that moved the branch counter. *)
 let path_signature ?max_instructions ~program ~layout ~memory () =
+  let module R = Decoded.Runner in
+  let r = R.create ?max_instructions ~decoded:(Decoded.decode ~program ~layout) ~memory () in
   let h = ref 0 in
-  (* FNV-style fold of the taken/not-taken sequence. *)
-  let on_branch taken =
-    h := (!h * 16777619) lxor (if taken then 1 else 2);
-    h := !h land max_int
-  in
-  let (_ : stats) =
-    run ?max_instructions ~program ~layout ~memory ~sink:{ null_sink with on_branch } ()
-  in
+  while r.R.running do
+    let branches = r.R.branches and taken = r.R.taken in
+    R.step r ~sink:null_sink;
+    if r.R.branches > branches then
+      h := ((!h * 16777619) lxor if r.R.taken > taken then 1 else 2) land max_int
+  done;
   !h

@@ -1,6 +1,7 @@
 (** Functional execution of a program: interprets the instruction semantics,
-    updating registers and {!Memory}, and streams timing events per executed
-    instruction to a {!sink} (normally the platform timing model).
+    updating registers and {!Memory}, and hands timing work to a {!sink}
+    (normally the platform timing model): state-dependent events one by
+    one, fixed-latency work and same-line fetches as counts.
 
     Execution is fully deterministic given (program, layout, memory
     contents); all timing is the sink's business.
@@ -22,24 +23,48 @@ type stats = {
   retired : int;
   loads : int;
   stores : int;
+  fp_short_ops : int;  (** FADD/FSUB/FMUL/FABS/FMOV count *)
   fp_long_ops : int;  (** FDIV + FSQRT count *)
+  int_muls : int;
   branches : int;
   taken_branches : int;
 }
 
-(** Per-work-class timing hooks.  [on_fetch] is called once per executed
-    instruction with its fetch address, before at most one work hook; work
-    classes with zero platform latency ([Int_alu], [No_op]) get no further
-    call.  Every control instruction (conditional branch, jump, call,
-    return) calls [on_branch] with whether it was taken. *)
+(** The fetch-line state of the core a {!sink} models.  It belongs to the
+    core, not to a runner: every runner stepping through the same sink
+    (the tasks of an RTOS on one core) shares it. *)
+type fetch_line = {
+  line_shift : int;  (** a fetch at [addr] is on line [addr lsr line_shift] *)
+  mutable line : int;
+      (** line of the core's previous fetch, or [-1]: set by the sink's
+          [on_fetch], never by the runner *)
+  mutable repeats : int;
+      (** fetches on [line] the runner counted instead of reporting; the
+          sink applies and zeroes them *)
+}
+
+(** Timing hooks.  Only events whose latency depends on platform state
+    reach a hook:
+
+    - [on_fetch] for a fetch whose line differs from [fetch_line.line]; a
+      fetch on that line only increments [fetch_line.repeats].  A sink
+      that leaves [line] at [-1] sees every fetch.
+    - [on_read]/[on_write] after the instruction's fetch, for its data
+      access, and [on_fp_long] for FDIV/FSQRT with their operands.
+    - [on_retire] with the work retired since its last call, whose
+      latency is a constant: instructions (one base cycle each), short FP
+      ops, integer multiplies, taken control instructions.  The runner
+      calls it at the end of {!Decoded.Runner.run} (also when it raises),
+      after every {!Decoded.Runner.step}, and after every instruction of
+      {!Decoded.Runner.run_supervised}.  An instruction that raises is
+      neither retired nor charged. *)
 type sink = {
+  fetch_line : fetch_line;
   on_fetch : int -> unit;
-  on_int_mul : unit -> unit;
   on_read : int -> unit;  (** data read, byte address *)
   on_write : int -> unit;  (** data write, byte address *)
-  on_fp_short : Instr.fpu_op -> unit;
   on_fp_long : Instr.fpu_op -> float -> float -> unit;  (** op, operands *)
-  on_branch : bool -> unit;  (** control instruction: taken? *)
+  on_retire : instructions:int -> fp_short:int -> int_mul:int -> taken:int -> unit;
 }
 
 (** A sink that ignores every event: functional execution only. *)
@@ -87,10 +112,10 @@ module Decoded : sig
         an out-of-bounds data access. *)
     val run : t -> sink:sink -> stats
 
-    (** [run_supervised t ~sink ~post] additionally calls [post ()] after
-        every retired instruction — the hook point for watchdog budgets and
-        SEU injection. *)
-    val run_supervised : t -> sink:sink -> post:(unit -> unit) -> stats
+    (** [run_supervised t ~sink] is {!run}, but charges every instruction
+        through [on_retire] on its own, right after it retires: the hook
+        point for watchdog budgets and SEU injection. *)
+    val run_supervised : t -> sink:sink -> stats
 
     val stats : t -> stats
 

@@ -72,6 +72,7 @@ let create ~config ~prng =
 
 let sets t = t.sets
 let ways t = t.ways
+let line_shift t = t.line_shift
 
 let line_of_addr t addr = addr lsr t.line_shift
 
@@ -171,6 +172,18 @@ let access t ~addr ~write =
       Miss
     end
   end
+
+(* [n] back-to-back read hits on the MRU slot, in one step: what [n]
+   calls of [access] on the line held there would do through the shortcut
+   above (each bumps the clock and stamps the slot, so only the last stamp
+   survives). *)
+let repeat_mru_hits t n =
+  if t.mru < 0 then invalid_arg "Cache.repeat_mru_hits: no MRU slot";
+  if n < 0 then invalid_arg "Cache.repeat_mru_hits: negative count";
+  t.accesses <- t.accesses + n;
+  t.hits <- t.hits + n;
+  t.clock <- t.clock + n;
+  Array.unsafe_set t.recency t.mru t.clock
 
 let probe t ~addr =
   let line = line_of_addr t addr in

@@ -30,6 +30,14 @@ val create : config:Config.cache_config -> prng:Repro_rng.Prng.t -> t
     dirty state). *)
 val access : t -> addr:int -> write:bool -> outcome
 
+(** [repeat_mru_hits t n] — exactly the effect of [n] read [access]es to
+    the line in the slot the last access hit or filled: accesses and hits
+    grow by [n], and the slot's recency stamp is the clock after [n]
+    ticks.  The caller guarantees that no access, flush or injection came
+    in between, so the line is still there and the hit is forced.  Raises
+    [Invalid_argument] when there is no such slot or [n < 0]. *)
+val repeat_mru_hits : t -> int -> unit
+
 (** [probe t ~addr] — lookup without side effects. *)
 val probe : t -> addr:int -> outcome
 
@@ -42,6 +50,9 @@ val set_of_addr : t -> int -> int
 
 val sets : t -> int
 val ways : t -> int
+
+(** log2 of the line size: [addr lsr line_shift t] is [addr]'s line. *)
+val line_shift : t -> int
 
 (** {2 SEU injection hooks}
 

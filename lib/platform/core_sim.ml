@@ -20,6 +20,13 @@ type t = {
   lat_store_buffer : int;
   lat_branch_taken : int;
   lat_int_mul : int;
+  lat_fp_short : int;
+  (* Line state of this core's fetches, shared with every runner stepping
+     through [sink t]; [group_fetches] when an IL1 line always lies inside
+     one ITLB page, so a fetch on the previous fetch's line is a forced
+     MRU hit in both. *)
+  fetch_line : Repro_isa.Executor.fetch_line;
+  group_fetches : bool;
   mutable cycles : int;
   mutable faults_injected : int;
 }
@@ -41,6 +48,10 @@ let create ?(contenders = []) ~config ~seed () =
   in
   let dl1 = Cache.create ~config:config.Config.dl1 ~prng:(Prng.split prng) in
   let il1 = Cache.create ~config:config.Config.il1 ~prng:(Prng.split prng) in
+  (* IL1 lines are a power of two ({!Config.sets} checks): a line nests in
+     an aligned page when the page is a power of two at least as large. *)
+  let line_bytes = config.Config.il1.Config.geometry.Config.line_bytes in
+  let page_bytes = config.Config.page_bytes in
   {
     config;
     il1;
@@ -58,6 +69,10 @@ let create ?(contenders = []) ~config ~seed () =
     lat_store_buffer = lat.Config.store_buffer;
     lat_branch_taken = lat.Config.branch_taken;
     lat_int_mul = lat.Config.int_mul;
+    lat_fp_short = lat.Config.fp_short;
+    fetch_line =
+      { Repro_isa.Executor.line_shift = Cache.line_shift il1; line = -1; repeats = 0 };
+    group_fetches = page_bytes land (page_bytes - 1) = 0 && line_bytes <= page_bytes;
     cycles = 0;
     faults_injected = 0;
   }
@@ -75,6 +90,8 @@ let reset_run t =
   Tlb.reset_run t.dtlb;
   Dram.reset_run t.dram;
   Bus.reset t.bus;
+  t.fetch_line.line <- -1;
+  t.fetch_line.repeats <- 0;
   t.cycles <- 0;
   t.faults_injected <- 0
 
@@ -113,9 +130,24 @@ let advance t n =
   if n < 0 then invalid_arg (Printf.sprintf "Core_sim.advance: negative cycles (%d)" n);
   t.cycles <- t.cycles + n
 
-let cycles t = t.cycles
+(* Apply the fetches the runner only counted: each was an ITLB hit and an
+   IL1 hit on the MRU slots the core's previous fetch left.  Runs before
+   the next IL1/ITLB access, before an upset can strike either, and
+   before their stats are read. *)
+let apply_repeats t =
+  let fl = t.fetch_line in
+  let n = fl.Repro_isa.Executor.repeats in
+  if n > 0 then begin
+    fl.Repro_isa.Executor.repeats <- 0;
+    Tlb.repeat_mru_hits t.itlb n;
+    Cache.repeat_mru_hits t.il1 n;
+    t.cycles <- t.cycles + (n * t.lat_l1_hit)
+  end
+
+let cycles t = t.cycles + (t.fetch_line.Repro_isa.Executor.repeats * t.lat_l1_hit)
 
 let snapshot t ~instructions ~fp_long_ops ~taken_branches =
+  apply_repeats t;
   let il1 = Cache.stats t.il1 and dl1 = Cache.stats t.dl1 in
   let itlb = Tlb.stats t.itlb and dtlb = Tlb.stats t.dtlb in
   let dram = Dram.stats t.dram in
@@ -141,27 +173,34 @@ let snapshot_of_stats t (stats : Repro_isa.Executor.stats) =
     ~fp_long_ops:stats.Repro_isa.Executor.fp_long_ops
     ~taken_branches:stats.Repro_isa.Executor.taken_branches
 
-(* The pipeline as per-work-class hooks: the base cycle and instruction
-   fetch (ITLB then IL1) first, then at most one work event, so every
-   stateful cache/TLB/bus access — and hence every PRNG draw — happens in
-   program order. *)
+let charge_fixed t ~instructions ~fp_short ~int_mul ~taken =
+  t.cycles <-
+    t.cycles + instructions + (fp_short * t.lat_fp_short) + (int_mul * t.lat_int_mul)
+    + (taken * t.lat_branch_taken)
+
+(* The pipeline as executor hooks.  A reported fetch (ITLB then IL1) first
+   applies the counted same-line fetches before it, so every stateful
+   cache/TLB/bus access — and hence every PRNG draw — happens in program
+   order.  The base cycle, short FP, integer multiply and taken-branch
+   penalty are constants, charged in bulk from the runner's counters. *)
 let sink t =
+  let fl = t.fetch_line in
   {
-    Repro_isa.Executor.on_fetch =
+    Repro_isa.Executor.fetch_line = fl;
+    on_fetch =
       (fun addr ->
-        t.cycles <- t.cycles + 1;
+        apply_repeats t;
         (match Tlb.access t.itlb ~addr with
         | Tlb.Hit -> ()
         | Tlb.Miss -> t.cycles <- t.cycles + t.lat_tlb_miss_walk);
-        match Cache.access t.il1 ~addr ~write:false with
+        (match Cache.access t.il1 ~addr ~write:false with
         | Cache.Hit -> t.cycles <- t.cycles + t.lat_l1_hit
         | Cache.Miss -> memory_transaction t ~addr);
-    on_int_mul = (fun () -> t.cycles <- t.cycles + t.lat_int_mul);
+        if t.group_fetches then fl.line <- addr lsr fl.line_shift);
     on_read = (fun addr -> data_access t ~addr ~write:false);
     on_write = (fun addr -> data_access t ~addr ~write:true);
-    on_fp_short = (fun op -> t.cycles <- t.cycles + Fpu.latency t.fpu op ~x:0. ~y:0.);
     on_fp_long = (fun op x y -> t.cycles <- t.cycles + Fpu.latency t.fpu op ~x ~y);
-    on_branch = (fun taken -> if taken then t.cycles <- t.cycles + t.lat_branch_taken);
+    on_retire = charge_fixed t;
   }
 
 let run_decoded t ~runner =
@@ -195,23 +234,29 @@ let run_decoded_faulty t ?injector ?watchdog_budget ~runner () =
               (fun ~reg ~bit -> Runner.corrupt_float_register runner ~reg ~bit);
           }
   in
-  (* Post-step supervision: timing already consumed by the sink, so count
-     the instruction, check the watchdog, then let the injector act before
-     the next instruction. *)
+  (* Supervision after every instruction, once it is charged: count it,
+     check the watchdog against the exact cycle count, then let the
+     injector act before the next instruction.  Counted fetches are
+     applied, and the line forgotten, only when an upset is due: it may
+     strike the IL1 or ITLB. *)
+  let sink = sink t in
   let retired = ref 0 in
-  let post () =
-    incr retired;
+  let on_retire ~instructions ~fp_short ~int_mul ~taken =
+    charge_fixed t ~instructions ~fp_short ~int_mul ~taken;
+    retired := !retired + instructions;
     (match watchdog_budget with
-    | Some budget when t.cycles > budget ->
-        raise (Budget_exceeded { cycles = t.cycles; budget })
+    | Some budget when cycles t > budget ->
+        raise (Budget_exceeded { cycles = cycles t; budget })
     | Some _ | None -> ());
     match (injector, targets) with
-    | Some inj, Some tg ->
+    | Some inj, Some tg when Fault.due inj ~retired:!retired ->
+        apply_repeats t;
         Fault.step inj ~retired:!retired tg;
+        t.fetch_line.Repro_isa.Executor.line <- -1;
         t.faults_injected <- Fault.count inj
     | _ -> ()
   in
-  let stats = Runner.run_supervised runner ~sink:(sink t) ~post in
+  let stats = Runner.run_supervised runner ~sink:{ sink with on_retire } in
   snapshot_of_stats t stats
 
 let run_program t ~program ~layout ~memory =

@@ -34,9 +34,14 @@ val reset_run : t -> unit
 val reseed : t -> seed:int64 -> unit
 
 (** [sink t] — the timing model as executor hooks: each event advances
-    [t]'s cycle count and cache/TLB/bus/DRAM state.  Exposed so a scheduler
-    can step several runners over one core
-    ({!Repro_isa.Executor.Decoded.Runner.step}). *)
+    [t]'s cycle count and cache/TLB/bus/DRAM state.  The sink's
+    [fetch_line] is [t]'s own, so every runner stepping through any
+    [sink t] shares the core's line state; fetches the runner only counted
+    are applied to the ITLB and IL1 before their next access, before an
+    upset can strike them, and by {!snapshot}.  Exposed so a scheduler can
+    step several runners over one core
+    ({!Repro_isa.Executor.Decoded.Runner.step}); {!cycles} and {!snapshot}
+    are exact after every step. *)
 val sink : t -> Repro_isa.Executor.sink
 
 (** Add idle cycles (e.g. a scheduler's timer tick overhead). *)
@@ -53,7 +58,7 @@ val cycles : t -> int
     bit-identical to a fresh simulator. *)
 
 (** [run_decoded t ~runner] — [reset_run], reset the runner, execute to
-    completion through the per-work-class timing sink, return the run's
+    completion through {!sink}, return the run's
     metrics.  The caller must have reset and reloaded the runner's memory
     image (e.g. {!Repro_isa.Memory.clear} + scenario load). *)
 val run_decoded : t -> runner:Repro_isa.Executor.Decoded.Runner.t -> Metrics.t
@@ -86,5 +91,6 @@ val run_program :
   Metrics.t
 
 (** Metrics accumulated since the last [reset_run] (for callers stepping
-    runners through {!sink} directly). *)
+    runners through {!sink} directly).  Applies the counted fetches first,
+    so the IL1/ITLB counts are exact. *)
 val snapshot : t -> instructions:int -> fp_long_ops:int -> taken_branches:int -> Metrics.t

@@ -50,9 +50,14 @@ val create : rate:float -> seed:int64 -> t
 
 val rate : t -> float
 
-(** [step t ~retired targets] — called once per retired instruction with the
-    cumulative retired count; injects every upset whose scheduled arrival
-    has been reached (possibly several). *)
+(** [due t ~retired] — whether {!step} at this retired count would inject:
+    lets a caller bring lazily updated target state up to date only when
+    an upset is about to land. *)
+val due : t -> retired:int -> bool
+
+(** [step t ~retired targets] — called with the cumulative retired count
+    (at least whenever {!due} holds); injects every upset whose scheduled
+    arrival has been reached (possibly several). *)
 val step : t -> retired:int -> targets -> unit
 
 (** Upsets injected so far. *)

@@ -115,6 +115,14 @@ let access t ~addr =
     end
   end
 
+(* [n] back-to-back hits on the MRU slot in one step (see [access]). *)
+let repeat_mru_hits t n =
+  if t.mru < 0 then invalid_arg "Tlb.repeat_mru_hits: no MRU slot";
+  if n < 0 then invalid_arg "Tlb.repeat_mru_hits: negative count";
+  t.hits <- t.hits + n;
+  t.clock <- t.clock + n;
+  Array.unsafe_set t.recency t.mru t.clock
+
 let flush t =
   Array.fill t.pages 0 t.entries (-1);
   Array.fill t.recency 0 t.entries 0;

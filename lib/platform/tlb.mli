@@ -17,6 +17,13 @@ val create :
     miss. *)
 val access : t -> addr:int -> outcome
 
+(** [repeat_mru_hits t n] — exactly the effect of [n] [access]es to the
+    page in the slot the last access hit or filled: [n] hits, and the
+    slot's recency stamp is the clock after [n] ticks.  The caller
+    guarantees that no access, flush or injection came in between.
+    Raises [Invalid_argument] when there is no such slot or [n < 0]. *)
+val repeat_mru_hits : t -> int -> unit
+
 val flush : t -> unit
 
 val entries : t -> int

@@ -135,6 +135,32 @@ let test_faulty_golden () =
     | o -> Alcotest.failf "no-fault run %d not Completed: %s" i (pp_outcome o)
   done
 
+(* Watchdog budgets below the run's cycles: the outcome pins the cycle
+   count at which the watchdog fired, hence the instruction that crossed
+   the budget, with and without upsets.  The 119,500 budget sits near the
+   end of a run, so some runs complete and some fire. *)
+let test_watchdog_golden () =
+  let det, rand = experiments () in
+  let lines =
+    List.concat_map
+      (fun (pname, exp) ->
+        List.concat_map
+          (fun (seu_rate, watchdog_budget) ->
+            let fault = T.Experiment.fault_config ~seu_rate ~watchdog_budget () in
+            List.init 8 (fun i ->
+                let o = T.Experiment.run_faulty exp ~fault ~run_index:i () in
+                Printf.sprintf "%s %g %d %d %s [%s]" pname seu_rate watchdog_budget i
+                  (pp_outcome o)
+                  (String.concat "; "
+                     (List.map
+                        (Format.asprintf "%a" P.Fault.pp_record)
+                        (T.Experiment.fault_records o)))))
+          [ (0., 60_000); (0., 119_500); (120., 60_000); (120., 119_500) ])
+      [ ("DET", det); ("RAND", rand) ]
+  in
+  check_digest "watchdog below the run's cycles, DET/RAND, SEU 0 and 120"
+    "d0f1e827239893ba695a0a57f7335cdd" lines
+
 (* ------------------------------------------------------------------ *)
 (* Whole campaigns: trace files and store records at jobs 1 and 4 *)
 
@@ -353,6 +379,8 @@ let () =
             test_experiment_golden;
           Alcotest.test_case "faulty runs (SEU>0): golden digests" `Quick
             test_faulty_golden;
+          Alcotest.test_case "watchdog below the run's cycles: golden digests" `Quick
+            test_watchdog_golden;
           Alcotest.test_case "schedules per policy: golden digests" `Quick
             test_schedules_golden;
           Alcotest.test_case "fixed-input runs: golden digests" `Quick

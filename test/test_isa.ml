@@ -448,50 +448,88 @@ let test_stats_counters () =
   checkb "taken counted" true (stats.Executor.taken_branches >= 1)
 
 let test_retire_stream_matches () =
-  (* the sink sees one fetch per instruction, at its code address, then
-     the right work event, in order *)
+  (* Only state-dependent events reach a hook.  A sink that caches the
+     line of the previous fetch sees exactly the fetches that leave it;
+     the others only bump [repeats].  A sink that never sets [line] sees
+     every fetch.  Fixed-latency work arrives once, through [on_retire]. *)
   let b = Builder.create ~name:"stream" in
   Builder.declare_data b ~symbol:"d" ~elements:2;
   Builder.label b "main";
   Builder.emit b (I.Li (0, 1));
+  Builder.emit b (I.Li (1, 3));
+  Builder.emit b (I.Mul (2, 0, 1));
   Builder.emit b (I.Fld (1, Builder.at "d"));
-  Builder.emit b (I.Fst (1, Builder.at ~offset:1 "d"));
-  Builder.emit b (I.Blt (0, 0, "end"));
-  Builder.emit b (I.Jmp "end");
-  Builder.label b "end";
+  Builder.emit b (I.Fadd (2, 1, 1));
+  Builder.emit b (I.Fst (2, Builder.at ~offset:1 "d"));
+  Builder.label b "loop";
+  Builder.emit b (I.Addi (0, 0, 1));
+  (* pc 7: taken once, backward into its own line *)
+  Builder.emit b (I.Blt (0, 1, "loop"));
+  Builder.emit b (I.Call "f");
+  Builder.emit b (I.Fdiv (3, 2, 1));
   Builder.emit b I.Halt;
+  for _ = 11 to 15 do
+    Builder.emit b I.Nop
+  done;
+  (* pc 16: two 32-byte lines past the loop *)
+  Builder.label b "f";
+  Builder.emit b (I.Fmul (4, 1, 1));
+  Builder.emit b I.Ret;
   let p = Builder.build b ~entry:"main" in
   let layout = Layout.sequential p in
-  let events = ref [] in
-  let log fmt = Printf.ksprintf (fun e -> events := e :: !events) fmt in
-  let sink =
-    {
-      Executor.on_fetch = (fun a -> log "fetch %d" a);
-      on_int_mul = (fun () -> log "mul");
-      on_read = (fun a -> log "read %d" a);
-      on_write = (fun a -> log "write %d" a);
-      on_fp_short = (fun _ -> log "fp");
-      on_fp_long = (fun _ _ _ -> log "fp long");
-      on_branch = (fun taken -> log "branch %b" taken);
-    }
+  let run ~line_shift ~track =
+    let events = ref [] in
+    let log fmt = Printf.ksprintf (fun e -> events := e :: !events) fmt in
+    let fetch_line = { Executor.line_shift; line = -1; repeats = 0 } in
+    let sink =
+      {
+        Executor.fetch_line;
+        on_fetch =
+          (fun a ->
+            log "fetch %d after %d" a fetch_line.repeats;
+            fetch_line.repeats <- 0;
+            if track then fetch_line.line <- a lsr line_shift);
+        on_read = (fun a -> log "read %d" a);
+        on_write = (fun a -> log "write %d" a);
+        on_fp_long = (fun _ _ _ -> log "fp long");
+        on_retire =
+          (fun ~instructions ~fp_short ~int_mul ~taken ->
+            log "retire %d %d %d %d" instructions fp_short int_mul taken);
+      }
+    in
+    let stats = Executor.run ~program:p ~layout ~memory:(Memory.create p) ~sink () in
+    (stats, fetch_line.repeats, List.rev !events)
   in
-  ignore (Executor.run ~program:p ~layout ~memory:(Memory.create p) ~sink ());
-  let fetch pc = Printf.sprintf "fetch %d" (Layout.code_address layout pc) in
+  let fetch ?(after = 0) pc =
+    Printf.sprintf "fetch %d after %d" (Layout.code_address layout pc) after
+  in
+  let read = Printf.sprintf "read %d" (Layout.data_address layout ~symbol:"d" ~element:0) in
+  let write = Printf.sprintf "write %d" (Layout.data_address layout ~symbol:"d" ~element:1) in
+  let retire = "retire 15 2 1 3" in
+  let stats, left, events = run ~line_shift:5 ~track:true in
   Alcotest.(check (list string))
-    "event stream"
+    "line-granular event stream"
     [
-      fetch 0;
-      fetch 1;
-      Printf.sprintf "read %d" (Layout.data_address layout ~symbol:"d" ~element:0);
-      fetch 2;
-      Printf.sprintf "write %d" (Layout.data_address layout ~symbol:"d" ~element:1);
-      fetch 3;
-      "branch false";
-      fetch 4;
-      "branch true";
-      fetch 5;
+      fetch 0; read; write; fetch ~after:9 8; fetch 16; fetch ~after:1 9; "fp long"; retire;
     ]
-    (List.rev !events)
+    events;
+  checki "last fetch counted, not reported" 1 left;
+  checki "retired" 15 stats.Executor.retired;
+  checki "fp short" 2 stats.Executor.fp_short_ops;
+  checki "int mul" 1 stats.Executor.int_muls;
+  checki "taken" 3 stats.Executor.taken_branches;
+  checki "branches" 4 stats.Executor.branches;
+  let _, left, events = run ~line_shift:5 ~track:false in
+  Alcotest.(check (list string))
+    "every-fetch event stream"
+    (List.concat
+       [
+         [ fetch 0; fetch 1; fetch 2; fetch 3; read; fetch 4; fetch 5; write ];
+         List.map fetch [ 6; 7; 6; 7; 8; 16; 17; 9 ];
+         [ "fp long"; fetch 10; retire ];
+       ])
+    events;
+  checki "nothing counted" 0 left
 
 let test_layout_independence_of_semantics =
   (* results do not depend on the layout, only timing would *)

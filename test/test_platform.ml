@@ -533,6 +533,179 @@ let test_step_equals_run () =
             ~memory:(Memory.create p)))
     [ ("DET", P.Config.deterministic); ("RAND", P.Config.mbpta_compliant) ]
 
+(* Random programs for the counted-fetch properties: straight-line ALU,
+   short and long FP, loads and stores, forward conditional skips, short
+   counted loops (whose backward jump lands in the current IL1 line) and
+   calls into three subroutines placed after [Halt].  [code_offset]
+   instructions of code sit before a 4 KiB boundary, so the code spans
+   several IL1 lines and one ITLB page boundary. *)
+type random_program = { code_offset : int; ops : (int * int * int) list }
+
+let random_program_gen =
+  QCheck.make
+    ~print:(fun { code_offset; ops } ->
+      Printf.sprintf "offset %d, ops [%s]" code_offset
+        (String.concat "; " (List.map (fun (k, x, y) -> Printf.sprintf "%d,%d,%d" k x y) ops)))
+    QCheck.Gen.(
+      map2
+        (fun code_offset ops -> { code_offset; ops })
+        (int_range 4 24)
+        (list_size (int_range 10 40) (triple (int_bound 9) (int_bound 63) (int_bound 63))))
+
+let build_random_program { code_offset; ops } =
+  let b = Builder.create ~name:"prop" in
+  Builder.declare_data b ~symbol:"d" ~elements:64;
+  Builder.label b "main";
+  Builder.emit b (I.Fli (1, 1.5));
+  Builder.emit b (I.Fli (2, 3.25));
+  Builder.emit b (I.Fli (3, 0.7));
+  let rec emit ~depth (k, x, y) =
+    let r n = n land 7 in
+    match k with
+    | 0 -> Builder.emit b (I.Addi (r x, r y, x))
+    | 1 -> Builder.emit b (I.Mul (r x, r y, r (x + y)))
+    | 2 -> (
+        match y mod 5 with
+        | 0 -> Builder.emit b (I.Fadd (r x, r y, r (x + 1)))
+        | 1 -> Builder.emit b (I.Fsub (r x, r y, r (x + 1)))
+        | 2 -> Builder.emit b (I.Fmul (r x, r y, r (x + 1)))
+        | 3 -> Builder.emit b (I.Fabs (r x, r y))
+        | _ -> Builder.emit b (I.Fmov (r x, r y)))
+    | 3 ->
+        if y land 1 = 0 then Builder.emit b (I.Fdiv (r x, r y, r (x + 3)))
+        else Builder.emit b (I.Fsqrt (r x, r y))
+    | 4 -> Builder.emit b (I.Fld (r x, Builder.at ~offset:(y mod 56) "d"))
+    | 5 -> Builder.emit b (I.Fst (r x, Builder.at ~offset:(y mod 56) "d"))
+    | 6 -> Builder.emit b (I.Call (Printf.sprintf "sub%d" (x mod 3)))
+    | 7 ->
+        let skip = Builder.fresh_label b "skip" in
+        Builder.emit b (I.Blt (r x, r y, skip));
+        for _ = 0 to y mod 4 do
+          Builder.emit b I.Nop
+        done;
+        Builder.label b skip
+    | 8 when depth < 2 ->
+        let counter = 10 + (2 * depth) in
+        Builder.counted_loop b ~counter ~from_:0 ~below:(2 + (y mod 4)) (fun () ->
+            Builder.emit b (I.Fld (r y, Builder.at ~index_reg:counter ~offset:(x mod 48) "d"));
+            emit ~depth:(depth + 1) ((x + y) mod 9, y, x))
+    | _ ->
+        for _ = 0 to y mod 6 do
+          Builder.emit b I.Nop
+        done
+  in
+  List.iter (emit ~depth:0) ops;
+  Builder.emit b I.Halt;
+  for s = 0 to 2 do
+    Builder.label b (Printf.sprintf "sub%d" s);
+    Builder.emit b (I.Fmul (4, 1, 2));
+    Builder.emit b (I.Fld (5, Builder.at ~offset:s "d"));
+    for _ = 1 to 3 * s do
+      Builder.emit b I.Nop
+    done;
+    Builder.emit b (I.Fst (4, Builder.at ~offset:(s + 8) "d"));
+    Builder.emit b I.Ret
+  done;
+  let p = Builder.build b ~entry:"main" in
+  (p, Layout.sequential ~code_base:(0x4000_0000 + 4096 - (code_offset * 4)) p)
+
+(* The reference: the core's hooks behind a fetch-line record whose line
+   stays -1, so the runner reports every fetch and nothing is counted. *)
+let every_fetch_sink core =
+  {
+    (P.Core_sim.sink core) with
+    Repro_isa.Executor.fetch_line = { Repro_isa.Executor.line_shift = 0; line = -1; repeats = 0 };
+  }
+
+(* Steps [runners] round-robin, one instruction each, until all finished;
+   after every step reads cycles only ([`Cycles]) or cycles and the
+   snapshot ([`Snapshot], which applies the counted fetches).  Returns
+   the cycles after every step and the final metrics. *)
+let interleave ~config ~reference ~read progs =
+  let module Executor = Repro_isa.Executor in
+  let module Runner = Executor.Decoded.Runner in
+  let core = P.Core_sim.create ~config ~seed:23L () in
+  P.Core_sim.reset_run core;
+  let sink = if reference then every_fetch_sink core else P.Core_sim.sink core in
+  let runners =
+    List.map
+      (fun (p, layout) ->
+        Runner.create ~decoded:(Executor.Decoded.decode ~program:p ~layout)
+          ~memory:(Memory.create p) ())
+      progs
+  in
+  let snapshot () =
+    let sum f = List.fold_left (fun acc r -> acc + f (Runner.stats r)) 0 runners in
+    P.Core_sim.snapshot core
+      ~instructions:(sum (fun s -> s.Executor.retired))
+      ~fp_long_ops:(sum (fun s -> s.Executor.fp_long_ops))
+      ~taken_branches:(sum (fun s -> s.Executor.taken_branches))
+  in
+  let trace = ref [] in
+  while List.exists (fun r -> not (Runner.finished r)) runners do
+    List.iter
+      (fun r ->
+        if not (Runner.finished r) then begin
+          Runner.step r ~sink;
+          let c = P.Core_sim.cycles core in
+          (match read with
+          | `Cycles -> ()
+          | `Snapshot -> if (snapshot ()).P.Metrics.cycles <> c then failwith "snapshot cycles");
+          trace := c :: !trace
+        end)
+      runners
+  done;
+  (List.rev !trace, snapshot ())
+
+(* A 1 KiB IL1, a 1-entry ITLB and a nonzero IL1 hit latency: two tasks
+   evict each other's lines and pages, and counted fetches cost cycles. *)
+let small_core (c : P.Config.t) =
+  {
+    c with
+    P.Config.il1 = { c.P.Config.il1 with P.Config.geometry = small_geometry };
+    itlb_entries = 1;
+    latencies = { c.P.Config.latencies with P.Config.l1_hit = 1 };
+  }
+
+let test_counted_fetches_exact =
+  qtest
+    (QCheck.Test.make ~name:"counted fetches: run = step = every-fetch reference" ~count:200
+       random_program_gen (fun spec ->
+         let prog = build_random_program spec in
+         List.for_all
+           (fun config ->
+             let ref_trace, ref_metrics =
+               interleave ~config ~reference:true ~read:`Cycles [ prog ]
+             in
+             let run_metrics =
+               let p, layout = prog in
+               P.Core_sim.run_program (P.Core_sim.create ~config ~seed:23L ()) ~program:p
+                 ~layout ~memory:(Memory.create p)
+             in
+             let step_trace, step_metrics =
+               interleave ~config ~reference:false ~read:`Snapshot [ prog ]
+             in
+             (* a second task whose fetches interleave with, but do not
+                track, the first one's lines *)
+             let two =
+               [
+                 prog;
+                 build_random_program
+                   { code_offset = spec.code_offset + 3; ops = List.rev spec.ops };
+               ]
+             in
+             let _, two_ref = interleave ~config ~reference:true ~read:`Cycles two in
+             let _, two_quiet = interleave ~config ~reference:false ~read:`Cycles two in
+             let _, two_read = interleave ~config ~reference:false ~read:`Snapshot two in
+             run_metrics = ref_metrics && step_metrics = ref_metrics
+             && step_trace = ref_trace && two_quiet = two_ref && two_read = two_ref)
+           [
+             P.Config.deterministic;
+             P.Config.mbpta_compliant;
+             small_core P.Config.deterministic;
+             small_core P.Config.mbpta_compliant;
+           ]))
+
 let test_advance () =
   let core = P.Core_sim.create ~config:P.Config.deterministic ~seed:1L () in
   P.Core_sim.reset_run core;
@@ -634,6 +807,7 @@ let () =
           Alcotest.test_case "metrics accounting" `Quick test_metrics_accounting;
           Alcotest.test_case "reset_run clears state" `Quick test_reset_run_clears_state;
           Alcotest.test_case "step = run" `Quick test_step_equals_run;
+          test_counted_fetches_exact;
           Alcotest.test_case "advance" `Quick test_advance;
         ] );
       ( "soc",
